@@ -6,18 +6,15 @@ from .freewords import FreeWord, Generator, PresentationParams
 from .normalform import GroupElement, Syllable
 from .groupring import RingElement
 from .foxcomplex import RingMatrix, RingVector
-from .relmodule import C2Element, RelElement
 from .certificate import Certificate, CrtData
 
 __all__ = [
-    "C2Element",
     "Certificate",
     "CrtData",
     "FreeWord",
     "Generator",
     "GroupElement",
     "PresentationParams",
-    "RelElement",
     "RingElement",
     "RingMatrix",
     "RingVector",

@@ -30,8 +30,6 @@ from .foxcomplex import (
 )
 from .groupring import RingElement, one, parse_ring, ring_mul, ring_to_text, torsion_term, zero
 from .relmodule import (
-    C2Element,
-    RelElement,
     commutator_image,
     lifted_generator,
     module_generator,
@@ -107,16 +105,16 @@ class Certificate:
     crt: CrtData
     lam: tuple[tuple[RingElement, ...], ...]  # (n+1) x n
     mu: tuple[tuple[RingElement, ...], ...]  # (n+1) x n
-    alpha: tuple[C2Element, ...]  # n-1 kernel elements
+    alpha: tuple[RingVector, ...]  # n-1 kernel elements, over D1..Dn, E1..En
     basis_ops: tuple[AddRightMultiple, ...]
     version: int = CERTIFICATE_VERSION
 
 
 def _reconstruct(
-    gens: list[RelElement],
+    gens: list[RingVector],
     coeffs: list[RingElement],
     params: PresentationParams,
-) -> RelElement:
+) -> RingVector:
     total = gens[0].act(coeffs[0], params)
     for g, c in zip(gens[1:], coeffs[1:]):
         total = total + g.act(c, params)
@@ -205,23 +203,13 @@ def build_certificate(params: PresentationParams) -> Certificate:
     d2 = d2_matrix(params)
     alphas = []
     for i in range(1, n):
-        coords = _alpha_coords(i, lam, params)
-        if not apply(d2, coords, params).is_zero:
+        alpha = _alpha_coords(i, lam, params)
+        if not apply(d2, alpha, params).is_zero:
             raise VerificationError(f"kernel element {i} has nonzero boundary")
-        alphas.append(C2Element(coords))
+        alphas.append(alpha)
 
     ops = _basis_ops(lam, params) if n >= 2 else ()
     return Certificate(params, crt, lam, mu, tuple(alphas), ops)
-
-
-def kernel_element(i: int, cert: Certificate) -> C2Element:
-    """The i-th 3-cell attaching element (1 <= i <= n-1); needs n >= 2."""
-    n = cert.params.n
-    if n < 2:
-        raise ParameterError("no 3-cells to attach when n < 2")
-    if not 1 <= i <= n - 1:
-        raise ParameterError(f"kernel element index {i} out of range 1..{n - 1}")
-    return cert.alpha[i - 1]
 
 
 def replay(
@@ -265,22 +253,33 @@ def basis_matrix(cert: Certificate) -> RingMatrix:
     lifted generators, in C2 coordinates."""
     params = cert.params
     n = params.n
-    rows = [a.coords for a in cert.alpha]
-    rows += [lifted_generator(k, params).coords for k in range(1, n + 2)]
+    rows = list(cert.alpha)
+    rows += [lifted_generator(k, params) for k in range(1, n + 2)]
     return RingMatrix(tuple(rows))
 
 
-def _inverse_from_replay(
-    cert: Certificate, reduced_positions: list[int], params: PresentationParams
-) -> RingMatrix:
-    # The trace sends the basis matrix P to a row permutation Pi of the
-    # identity, so "Pi^-1 first, then the trace on the identity" inverts P.
-    size = len(reduced_positions)
-    trace = replay(cert.basis_ops, RingMatrix.identity(size), params)
-    inverse_rows = [None] * size
-    for row_index, position in enumerate(reduced_positions):
+NOT_REDUCED = "operation trace does not reduce to a basis permutation"
+NOT_INVERSE = "basis matrix and its claimed inverse do not cancel"
+
+
+def _check_basis(cert: Certificate) -> tuple[RingMatrix, RingMatrix | None, bool]:
+    """The basis matrix P, the inverse Q read off the trace (None when the
+    trace does not reach a permutation of the standard basis), and whether
+    compose(P, Q) = compose(Q, P) = identity."""
+    params = cert.params
+    p = basis_matrix(cert)
+    positions = permutation_of_identity(replay(cert.basis_ops, p, params))
+    if positions is None:
+        return p, None, False
+    # The trace sends P to a row permutation Pi of the identity, so
+    # "Pi^-1 first, then the trace on the identity" inverts P.
+    trace = replay(cert.basis_ops, RingMatrix.identity(p.nrows), params)
+    inverse_rows = [None] * p.nrows
+    for row_index, position in enumerate(positions):
         inverse_rows[position] = trace.rows[row_index]
-    return RingMatrix(tuple(inverse_rows))
+    q = RingMatrix(tuple(inverse_rows))
+    ident = RingMatrix.identity(p.nrows)
+    return p, q, compose(p, q, params) == ident and compose(q, p, params) == ident
 
 
 def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRightMultiple, ...]]:
@@ -289,19 +288,13 @@ def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRi
     Verifies that the trace reduces P to a permutation of the standard
     basis and that compose(P, Q) = compose(Q, P) = identity; any failure
     is a hard fault."""
-    params = cert.params
-    if params.n < 2:
+    if cert.params.n < 2:
         raise ParameterError("basis change requires n >= 2")
-    p = basis_matrix(cert)
-    reduced = replay(cert.basis_ops, p, params)
-    positions = permutation_of_identity(reduced)
-    if positions is None:
-        raise VerificationError("operation trace does not reduce to a basis permutation")
-    q = _inverse_from_replay(cert, positions, params)
-    size = p.nrows
-    ident = RingMatrix.identity(size)
-    if compose(p, q, params) != ident or compose(q, p, params) != ident:
-        raise VerificationError("basis matrix and its claimed inverse do not cancel")
+    p, q, inverts = _check_basis(cert)
+    if q is None:
+        raise VerificationError(NOT_REDUCED)
+    if not inverts:
+        raise VerificationError(NOT_INVERSE)
     return p, q, cert.basis_ops
 
 
@@ -324,28 +317,20 @@ class SplittingReport:
         )
 
 
-def splitting_report(
-    cert: Certificate,
-    basis: tuple[RingMatrix, RingMatrix] | None = None,
-) -> SplittingReport:
+def splitting_report(cert: Certificate) -> SplittingReport:
     """Check that the 3-cell boundary rows die under d2 and, in the new
     basis read off from (P, Q), form the coordinate inclusion onto the
-    first n-1 basis vectors.  Pass basis=(P, Q) to reuse a computed pair."""
+    first n-1 basis vectors."""
     params = cert.params
     n = params.n
     if n < 2:
         raise ParameterError("splitting needs n >= 2 (no 3-cells otherwise)")
-    if basis is None:
-        p, q, _ = basis_change(cert)
-    else:
-        p, q = basis
+    _, q, _ = basis_change(cert)
     d2 = d2_matrix(params)
-    composite_zero = all(
-        apply(d2, a.coords, params).is_zero for a in cert.alpha
-    )
+    composite_zero = all(apply(d2, a, params).is_zero for a in cert.alpha)
     size = 2 * n
     normalized = all(
-        apply(q, cert.alpha[i].coords, params) == RingVector.unit(size, i)
+        apply(q, cert.alpha[i], params) == RingVector.unit(size, i)
         for i in range(n - 1)
     )
     return SplittingReport(
@@ -376,6 +361,9 @@ class CheckItem:
 class CheckReport:
     accepted: bool
     items: tuple[CheckItem, ...]
+    # The (P, Q) pair the basis items checked; None when n = 1 or when the
+    # trace does not reach a permutation, so that no Q can be read off.
+    basis: tuple[RingMatrix, RingMatrix] | None = None
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -437,36 +425,33 @@ def check_certificate(cert: Certificate) -> CheckReport:
             )
         )
 
+    basis = None
     if n >= 2:
         d2 = d2_matrix(params)
         for i, a in enumerate(cert.alpha, start=1):
             items.append(
                 CheckItem(
                     f"alpha_{i} kernel",
-                    apply(d2, a.coords, params).is_zero,
+                    apply(d2, a, params).is_zero,
                     "boundary of the 3-cell attaching element vanishes",
                 )
             )
-        p = basis_matrix(cert)
-        reduced = replay(cert.basis_ops, p, params)
-        positions = permutation_of_identity(reduced)
+        p, q, inverts = _check_basis(cert)
         items.append(
             CheckItem(
                 "basis reduction",
-                positions is not None,
+                q is not None,
                 "operation trace reaches a permutation of the standard basis",
             )
         )
-        if positions is not None:
-            q = _inverse_from_replay(cert, positions, params)
-            ident = RingMatrix.identity(p.nrows)
-            ok = compose(p, q, params) == ident and compose(q, p, params) == ident
-            items.append(CheckItem("basis inverse", ok, "P Q = Q P = identity"))
+        if q is not None:
+            basis = (p, q)
+            items.append(CheckItem("basis inverse", inverts, "P Q = Q P = identity"))
         else:
             items.append(CheckItem("basis inverse", False, "no permutation to invert"))
 
     accepted = all(item.passed for item in items)
-    return CheckReport(accepted, tuple(items))
+    return CheckReport(accepted, tuple(items), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +465,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "s": [list(row) for row in cert.crt.s],
         "lambda": [[ring_to_text(e) for e in row] for row in cert.lam],
         "mu": [[ring_to_text(e) for e in row] for row in cert.mu],
-        "alpha": [[ring_to_text(e) for e in a.coords.entries] for a in cert.alpha],
+        "alpha": [[ring_to_text(e) for e in a.entries] for a in cert.alpha],
         "basis_ops": [
             {
                 "op": "add_right_multiple",
@@ -504,6 +489,11 @@ def _require(condition: bool, message: str):
         raise ParseError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer.  JSON true/false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_ring_field(text, params: PresentationParams, where: str) -> RingElement:
     _require(isinstance(text, str), f"{where}: expected a ring-element string")
     try:
@@ -516,7 +506,7 @@ def _validated_r(obj) -> list[int]:
     _require(isinstance(obj, dict), "certificate must be a JSON object")
     r = obj.get("r")
     _require(
-        isinstance(r, list) and r and all(isinstance(v, int) for v in r),
+        isinstance(r, list) and r and all(_is_int(v) for v in r),
         "field 'r' must be a nonempty list of integers",
     )
     return r
@@ -530,11 +520,14 @@ def certificate_from_json(obj: dict) -> Certificate:
     params = PresentationParams(tuple(r))  # ParameterError on bad orders
     n = params.n
     version = obj.get("version")
-    _require(version == CERTIFICATE_VERSION, f"unsupported certificate version {version!r}")
+    _require(
+        _is_int(version) and version == CERTIFICATE_VERSION,
+        f"unsupported certificate version {version!r}",
+    )
 
     t = obj.get("t")
     _require(
-        isinstance(t, list) and len(t) == n and all(isinstance(v, int) for v in t),
+        isinstance(t, list) and len(t) == n and all(_is_int(v) for v in t),
         f"field 't' must be a list of {n} integers",
     )
     s = obj.get("s")
@@ -542,7 +535,7 @@ def certificate_from_json(obj: dict) -> Certificate:
         isinstance(s, list)
         and len(s) == n
         and all(
-            isinstance(row, list) and len(row) == n and all(isinstance(v, int) for v in row)
+            isinstance(row, list) and len(row) == n and all(_is_int(v) for v in row)
             for row in s
         ),
         f"field 's' must be a {n}x{n} integer matrix",
@@ -574,12 +567,10 @@ def certificate_from_json(obj: dict) -> Certificate:
         f"field 'alpha' must be a {n - 1}x{2 * n} matrix of ring-element strings",
     )
     alpha = tuple(
-        C2Element(
-            RingVector(
-                tuple(
-                    _parse_ring_field(raw_alpha[i][j], params, f"alpha[{i}][{j}]")
-                    for j in range(2 * n)
-                )
+        RingVector(
+            tuple(
+                _parse_ring_field(raw_alpha[i][j], params, f"alpha[{i}][{j}]")
+                for j in range(2 * n)
             )
         )
         for i in range(n - 1)
@@ -587,6 +578,8 @@ def certificate_from_json(obj: dict) -> Certificate:
 
     raw_ops = obj.get("basis_ops")
     _require(isinstance(raw_ops, list), "field 'basis_ops' must be a list")
+    # With one factor there is no basis change, so no op could be checked.
+    _require(n >= 2 or not raw_ops, "field 'basis_ops' must be empty when n = 1")
     ops = []
     for idx, raw in enumerate(raw_ops):
         where = f"basis_ops[{idx}]"
@@ -594,7 +587,7 @@ def certificate_from_json(obj: dict) -> Certificate:
         _require(raw.get("op") == "add_right_multiple", f"{where}: unknown op kind")
         src, dst = raw.get("src"), raw.get("dst")
         _require(
-            isinstance(src, int) and isinstance(dst, int) and 0 <= src < 2 * n
+            _is_int(src) and _is_int(dst) and 0 <= src < 2 * n
             and 0 <= dst < 2 * n and src != dst,
             f"{where}: 'src' and 'dst' must be distinct row indices below {2 * n}",
         )
@@ -629,7 +622,7 @@ class ChainExport:
     params: PresentationParams
     d1: RingVector
     d2: RingMatrix
-    d3: tuple[C2Element, ...]
+    d3: tuple[RingVector, ...]
     p: RingMatrix | None
     q: RingMatrix | None
 
@@ -662,7 +655,7 @@ def chain_export_to_json(export: ChainExport) -> dict:
         "d3_labels": [f"alpha{i}" for i in range(1, n)],
         "d1": [ring_to_text(e) for e in export.d1.entries],
         "d2": _matrix_texts(export.d2),
-        "d3": [[ring_to_text(e) for e in a.coords.entries] for a in export.d3],
+        "d3": [[ring_to_text(e) for e in a.entries] for a in export.d3],
         "P": _matrix_texts(export.p) if export.p is not None else None,
         "Q": _matrix_texts(export.q) if export.q is not None else None,
     }
@@ -674,7 +667,8 @@ def chain_export_from_json(obj: dict) -> ChainExport:
     r = _validated_r(obj)
     params = PresentationParams(tuple(r))
     n = params.n
-    _require(obj.get("version") == CERTIFICATE_VERSION, "unsupported version")
+    version = obj.get("version")
+    _require(_is_int(version) and version == CERTIFICATE_VERSION, "unsupported version")
 
     def vector(raw, width: int, where: str) -> RingVector:
         _require(
@@ -698,10 +692,7 @@ def chain_export_from_json(obj: dict) -> ChainExport:
 
     d1 = vector(obj.get("d1"), 2 * n, "d1")
     d2 = matrix(obj.get("d2"), 2 * n, 2 * n, "d2")
-    d3 = tuple(
-        C2Element(vector(row, 2 * n, f"d3[{i}]"))
-        for i, row in enumerate(obj.get("d3") or [])
-    )
+    d3 = tuple(vector(row, 2 * n, f"d3[{i}]") for i, row in enumerate(obj.get("d3") or []))
     _require(len(d3) == n - 1, f"d3 must have {n - 1} rows")
     raw_p, raw_q = obj.get("P"), obj.get("Q")
     if n >= 2:

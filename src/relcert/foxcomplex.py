@@ -32,7 +32,7 @@ from .freewords import (
     generators,
     power_relator,
 )
-from .groupring import RingElement, group_term, one, ring_mul, star, zero
+from .groupring import RingElement, from_terms, group_term, one, ring_mul, star, zero
 from .normalform import IDENTITY, GroupElement, ginv, gmul, project, torsion_power, free_power
 
 
@@ -44,10 +44,6 @@ class RingVector:
 
     def __init__(self, entries: tuple[RingElement, ...]):
         self.entries = entries
-
-    @staticmethod
-    def zeros(width: int) -> "RingVector":
-        return RingVector(tuple(zero() for _ in range(width)))
 
     @staticmethod
     def unit(width: int, position: int) -> "RingVector":
@@ -161,7 +157,7 @@ def fox_derivative(w: FreeWord, gen: Generator, params: PresentationParams) -> R
 
     Axioms: dx/dx = 1, dx^-1/dx = -x^-1, d(uv)/dx = du/dx + u * dv/dx,
     with words evaluated through the quotient projection."""
-    acc: dict[GroupElement, int] = {}
+    terms: list[tuple[GroupElement, int]] = []
     prefix = IDENTITY
     for g, e in w.letters:
         if g == gen:
@@ -172,14 +168,9 @@ def fox_derivative(w: FreeWord, gen: Generator, params: PresentationParams) -> R
             else:
                 exponents, c = range(-1, e - 1, -1), -1
             for j in exponents:
-                key = gmul(prefix, _letter_power(g, j, params), params)
-                v = acc.get(key, 0) + c
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
+                terms.append((gmul(prefix, _letter_power(g, j, params), params), c))
         prefix = gmul(prefix, _letter_power(g, e, params), params)
-    return RingElement(acc)
+    return from_terms(terms)
 
 
 def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
@@ -226,11 +217,6 @@ def fundamental_identity_holds(w: FreeWord, params: PresentationParams) -> bool:
     lhs = d1_contract(starred_fox_row(w, params), params)
     rhs = group_term(ginv(project(w, params), params)) - one()
     return lhs == rhs
-
-
-def column_index(gen: Generator) -> int:
-    """Column of a generator in the a1, b1, ..., an, bn edge order."""
-    return 2 * (gen.index - 1) + (0 if gen.kind == KIND_TORSION else 1)
 
 
 def c1_labels(n: int) -> list[str]:

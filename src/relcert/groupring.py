@@ -49,24 +49,12 @@ class RingElement:
         return isinstance(other, RingElement) and self.terms == other.terms
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            v = out.get(g, 0) + c
-            if v:
-                out[g] = v
-            elif g in out:
-                del out[g]
-        return RingElement(out)
+        return RingElement(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            v = out.get(g, 0) - c
-            if v:
-                out[g] = v
-            elif g in out:
-                del out[g]
-        return RingElement(out)
+        return RingElement(
+            accumulate(dict(self.terms), ((g, -c) for g, c in other.terms.items()))
+        )
 
     def __neg__(self) -> "RingElement":
         return RingElement({g: -c for g, c in self.terms.items()})
@@ -97,15 +85,19 @@ def group_term(g: GroupElement, c: int = 1) -> RingElement:
     return RingElement({g: c}) if c else RingElement({})
 
 
-def from_terms(pairs) -> RingElement:
-    out: dict[GroupElement, int] = {}
+def accumulate(acc: dict[GroupElement, int], pairs) -> dict[GroupElement, int]:
+    """Add each (g, c) into acc in place, dropping coefficients that cancel."""
     for g, c in pairs:
-        v = out.get(g, 0) + c
+        v = acc.get(g, 0) + c
         if v:
-            out[g] = v
-        elif g in out:
-            del out[g]
-    return RingElement(out)
+            acc[g] = v
+        elif g in acc:
+            del acc[g]
+    return acc
+
+
+def from_terms(pairs) -> RingElement:
+    return RingElement(accumulate({}, pairs))
 
 
 def torsion_term(i: int, j: int, params: PresentationParams, c: int = 1) -> RingElement:
@@ -131,6 +123,7 @@ def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> Ring
         g, c = next(iter(x.terms.items()))
         if g.is_identity:
             return c * y
+    # The accumulate loop stays inline here: this is the hot path.
     out: dict[GroupElement, int] = {}
     for g, cg in x.terms.items():
         for h, ch in y.terms.items():
@@ -147,11 +140,6 @@ def star(x: RingElement, params: PresentationParams) -> RingElement:
     """The involution g -> g^-1, extended linearly.  Anti-automorphism:
     star(xy) = star(y) star(x); it converts left-module data to right."""
     return RingElement({ginv(g, params): c for g, c in x.terms.items()})
-
-
-def augmentation(x: RingElement) -> int:
-    """Coefficient sum; a ring homomorphism onto the integers."""
-    return sum(x.terms.values())
 
 
 def norm_element(i: int, params: PresentationParams) -> RingElement:
@@ -231,7 +219,7 @@ def parse_ring(text: str, params: PresentationParams) -> RingElement:
         if tail != size:
             raise ParseError("unexpected text after '0'", tail + 1)
         return RingElement({})
-    acc: dict[GroupElement, int] = {}
+    terms: list[tuple[GroupElement, int]] = []
     sign = 1
     if s[pos] == "-":
         sign = -1
@@ -262,13 +250,8 @@ def parse_ring(text: str, params: PresentationParams) -> RingElement:
         except ParseError as exc:
             col = wstart + exc.column if exc.column is not None else None
             raise ParseError(exc.raw_message, col) from None
-        g = project(w, params)
-        v = acc.get(g, 0) + sign * coeff
-        if v:
-            acc[g] = v
-        elif g in acc:
-            del acc[g]
+        terms.append((project(w, params), sign * coeff))
         if pos == size:
-            return RingElement(acc)
+            return from_terms(terms)
         sign = 1 if s[pos] == "+" else -1
         pos += 1

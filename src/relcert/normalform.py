@@ -126,14 +126,6 @@ def canonical_key(x: GroupElement):
     return (len(x.syllables), x.syllables)
 
 
-def canonical_order(x: GroupElement, y: GroupElement) -> int:
-    """-1, 0, or 1 comparing x to y in the canonical total order."""
-    kx, ky = canonical_key(x), canonical_key(y)
-    if kx < ky:
-        return -1
-    return 0 if kx == ky else 1
-
-
 def element_to_text(x: GroupElement) -> str:
     """Per syllable "a<i>^k b<i>^m", omitting zero parts and exponent 1;
     the identity prints as "e"."""

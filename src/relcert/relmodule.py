@@ -3,7 +3,9 @@
 Module elements live as width-2n coordinate vectors over the group ring:
 their images inside the chain group C1 under the (injective) chain-level
 inclusion.  That makes equality decidable coordinate-wise, which an
-abstract quotient presentation would not give us.
+abstract quotient presentation would not give us.  Elements of C2, written
+over the free basis D1..Dn, E1..En, are width-2n vectors too; which chain
+group a vector belongs to is fixed by the function that returns it.
 
 The conjugation action of the group corresponds, in these coordinates, to
 entry-wise right multiplication (see the convention note in foxcomplex).
@@ -31,80 +33,21 @@ from .groupring import (
 from .normalform import IDENTITY
 
 
-class RelElement:
-    """A relation-module element, held as its C1 coordinate vector."""
-
-    __slots__ = ("coords",)
-    __hash__ = None
-
-    def __init__(self, coords: RingVector):
-        self.coords = coords
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coords.is_zero
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RelElement) and self.coords == other.coords
-
-    def __add__(self, other: "RelElement") -> "RelElement":
-        return RelElement(self.coords + other.coords)
-
-    def __sub__(self, other: "RelElement") -> "RelElement":
-        return RelElement(self.coords - other.coords)
-
-    def act(self, coeff: RingElement, params: PresentationParams) -> "RelElement":
-        """Right action of a ring element."""
-        return RelElement(self.coords.act(coeff, params))
-
-    def __repr__(self) -> str:
-        return f"RelElement({self.coords!r})"
-
-
-class C2Element:
-    """A coordinate vector over the free basis D1..Dn, E1..En of C2."""
-
-    __slots__ = ("coords",)
-    __hash__ = None
-
-    def __init__(self, coords: RingVector):
-        self.coords = coords
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coords.is_zero
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, C2Element) and self.coords == other.coords
-
-    def __add__(self, other: "C2Element") -> "C2Element":
-        return C2Element(self.coords + other.coords)
-
-    def __sub__(self, other: "C2Element") -> "C2Element":
-        return C2Element(self.coords - other.coords)
-
-    def act(self, coeff: RingElement, params: PresentationParams) -> "C2Element":
-        return C2Element(self.coords.act(coeff, params))
-
-    def __repr__(self) -> str:
-        return f"C2Element({self.coords!r})"
-
-
-def commutator_image(i: int, params: PresentationParams) -> RelElement:
+def commutator_image(i: int, params: PresentationParams) -> RingVector:
     """Module class of the commutator relator [a_i, b_i]: a_i-coordinate
     1 - b_i^-1, b_i-coordinate a_i^-1 - 1, all others zero."""
     params.check_index(i)
-    return RelElement(starred_fox_row(commutator_relator(i), params))
+    return starred_fox_row(commutator_relator(i), params)
 
 
-def power_image(i: int, params: PresentationParams) -> RelElement:
+def power_image(i: int, params: PresentationParams) -> RingVector:
     """Module class of the torsion relator a_i^{r_i}: a_i-coordinate is the
     norm element, all others zero."""
     params.check_index(i)
-    return RelElement(starred_fox_row(power_relator(i, params), params))
+    return starred_fox_row(power_relator(i, params), params)
 
 
-def module_generator(k: int, params: PresentationParams) -> RelElement:
+def module_generator(k: int, params: PresentationParams) -> RingVector:
     """The k-th of the n+1 distinguished generators: for k <= n the power
     class plus the commutator class times (1 - a_k); for k = n+1 the sum
     of all commutator classes."""
@@ -208,7 +151,7 @@ def check_reduction(i: int, params: PresentationParams) -> ReductionReport:
     return ReductionReport(total, term1, term2, term3, term4)
 
 
-def lifted_generator(k: int, params: PresentationParams) -> C2Element:
+def lifted_generator(k: int, params: PresentationParams) -> RingVector:
     """The k-th distinguished generator lifted to C2 coordinates over the
     free basis D1..Dn, E1..En."""
     n = params.n
@@ -221,4 +164,4 @@ def lifted_generator(k: int, params: PresentationParams) -> C2Element:
     else:
         for j in range(n):
             entries[j] = one()
-    return C2Element(RingVector(tuple(entries)))
+    return RingVector(tuple(entries))

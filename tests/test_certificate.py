@@ -23,7 +23,6 @@ from relcert.certificate import (
     check_certificate_json,
     crt_coefficients,
     euler_characteristic,
-    kernel_element,
     permutation_of_identity,
     replay,
     splitting_report,
@@ -109,18 +108,11 @@ def test_kernel_elements():
         cert = build_certificate(p)
         d2 = d2_matrix(p)
         assert len(cert.alpha) == p.n - 1
-        for i in range(1, p.n):
-            a = kernel_element(i, cert)
-            assert apply(d2, a.coords, p).is_zero
+        for i, a in enumerate(cert.alpha, start=1):
+            assert apply(d2, a, p).is_zero
             # the E_j coordinate is minus the stored lambda coefficient
             for j in range(1, p.n + 1):
-                assert a.coords[p.n + j - 1] == -cert.lam[j - 1][i - 1]
-    with pytest.raises(ParameterError):
-        kernel_element(0, build_certificate(P23))
-    with pytest.raises(ParameterError):
-        kernel_element(2, build_certificate(P23))
-    with pytest.raises(ParameterError):
-        kernel_element(1, build_certificate(PresentationParams((2,))))
+                assert a[p.n + j - 1] == -cert.lam[j - 1][i - 1]
 
 
 def test_alpha_is_commutator_row_minus_generator_combination():
@@ -133,7 +125,7 @@ def test_alpha_is_commutator_row_minus_generator_combination():
             total = cert.alpha[i - 1]
             for k in range(1, p.n + 2):
                 total = total + lifted_generator(k, p).act(cert.lam[k - 1][i - 1], p)
-            assert total.coords == RingVector.unit(2 * p.n, i - 1)
+            assert total == RingVector.unit(2 * p.n, i - 1)
 
 
 def test_basis_change():
@@ -147,8 +139,12 @@ def test_basis_change():
         reduced = replay(ops, basis_matrix(cert), p)
         positions = permutation_of_identity(reduced)
         assert positions is not None and sorted(positions) == list(range(size))
+        # the checker keeps the pair it checked
+        assert check_certificate(cert).basis == (P, Q)
+    single = build_certificate(PresentationParams((2,)))
+    assert check_certificate(single).basis is None
     with pytest.raises(ParameterError):
-        basis_change(build_certificate(PresentationParams((2,))))
+        basis_change(single)
 
 
 def test_replay_and_inverted_ops():
@@ -221,6 +217,34 @@ def test_certificate_schema_errors():
         certificate_from_json(bad)
     with pytest.raises(ParseError):
         certificate_from_json({"r": "nope"})
+
+
+def test_boolean_integers_rejected():
+    # JSON true/false load as bool, which Python counts as int
+    genuine = certificate_bytes(build_certificate(P23))
+    for path, value in [
+        (("r",), [True, 3]),
+        (("t", 0), True),
+        (("s", 1, 0), False),
+        (("basis_ops", 0, "src"), True),
+        (("basis_ops", 0, "dst"), True),
+        (("version",), True),
+    ]:
+        obj = json.loads(genuine)
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ParseError):
+            check_certificate_json(obj)
+
+
+def test_single_factor_rejects_basis_ops():
+    obj = json.loads(certificate_bytes(build_certificate(PresentationParams((7,)))))
+    assert check_certificate_json(obj).accepted
+    obj["basis_ops"] = [{"op": "add_right_multiple", "src": 0, "dst": 1, "coeff": "b1^7"}]
+    with pytest.raises(ParseError, match="must be empty when n = 1"):
+        check_certificate_json(obj)
 
 
 def test_non_coprime_r_rejected_at_params_stage():

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+from relcert import cli
 from relcert.cli import main, run_verification
 from relcert.freewords import PresentationParams
+from relcert.groupring import one
 
 
 def test_verify_default_family(capsys):
@@ -128,3 +132,61 @@ def test_normalize_parse_error(capsys):
     err = capsys.readouterr().err
     assert "column 4" in err
     assert main(["normalize", "a9", "--r", "2,3"]) == 2
+
+
+def _chain_groups(monkeypatch, corrupt):
+    """Statuses and details of verify's last certificate-based groups when
+    the built certificate is corrupted before the check."""
+    build = cli.build_certificate
+    monkeypatch.setattr(cli, "build_certificate", lambda params: corrupt(build(params)))
+    groups = run_verification(PresentationParams((2, 3, 5)), seed=0, sample=5)
+    return [(g.status, g.details) for g in groups[6:10]]
+
+
+def test_verify_chain_groups_on_bad_trace(monkeypatch):
+    def corrupt(cert):
+        op = cert.basis_ops[0]
+        bad = type(op)(op.src, op.dst, op.coeff + one())
+        return type(cert)(cert.params, cert.crt, cert.lam, cert.mu, cert.alpha,
+                          (bad,) + cert.basis_ops[1:])
+
+    assert _chain_groups(monkeypatch, corrupt) == [
+        ("fail", ("basis reduction", "basis inverse")),
+        ("pass", ()),
+        ("fail", ("operation trace does not reduce to a basis permutation",)),
+        ("skip", ("no basis change",)),
+    ]
+
+
+def test_verify_chain_groups_on_bad_alpha(monkeypatch):
+    def corrupt(cert):
+        first = cert.alpha[0]
+        bad = type(first)((first[0] + one(),) + first.entries[1:])
+        return type(cert)(cert.params, cert.crt, cert.lam, cert.mu,
+                          (bad,) + cert.alpha[1:], cert.basis_ops)
+
+    assert _chain_groups(monkeypatch, corrupt) == [
+        ("fail", ("alpha_1 kernel", "basis reduction", "basis inverse")),
+        ("fail", ()),
+        ("fail", ("operation trace does not reduce to a basis permutation",)),
+        ("skip", ("no basis change",)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "orders, edit",
+    [
+        ("2,3", lambda obj: obj["basis_ops"][0].update(src=True)),
+        ("2,3", lambda obj: obj.update(r=[True, 3])),
+        ("7", lambda obj: obj.update(
+            basis_ops=[{"op": "add_right_multiple", "src": 0, "dst": 1, "coeff": "b1^7"}])),
+    ],
+)
+def test_check_cert_malformed_fields_exit_2(orders, edit, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert main(["certificate", "--r", orders, "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    assert main(["check-cert", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err

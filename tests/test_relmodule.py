@@ -11,7 +11,6 @@ from relcert.freewords import (
 )
 from relcert.foxcomplex import starred_fox_row
 from relcert.groupring import (
-    augmentation,
     free_term,
     group_term,
     norm_element,
@@ -23,7 +22,6 @@ from relcert.groupring import (
 )
 from relcert.normalform import project
 from relcert.relmodule import (
-    RelElement,
     check_module_identities,
     check_reduction,
     commutator_image,
@@ -40,17 +38,17 @@ FAMILIES = [P23, P235, PresentationParams((3, 4, 5))]
 
 def test_commutator_image_coords():
     d1 = commutator_image(1, P235)
-    assert d1.coords[0] == one() - free_term(1, -1, P235)
-    assert d1.coords[1] == torsion_term(1, -1, P235) - one()
-    assert all(d1.coords[j].is_zero for j in range(2, 6))
+    assert d1[0] == one() - free_term(1, -1, P235)
+    assert d1[1] == torsion_term(1, -1, P235) - one()
+    assert all(d1[j].is_zero for j in range(2, 6))
     # factor-2 class has no factor-1 support
-    assert commutator_image(2, P235).coords[0].is_zero
+    assert commutator_image(2, P235)[0].is_zero
 
 
 def test_power_image_coords():
     e1 = power_image(1, P235)
-    assert e1.coords[0] == norm_element(1, P235)
-    assert all(e1.coords[j].is_zero for j in range(1, 6))
+    assert e1[0] == norm_element(1, P235)
+    assert all(e1[j].is_zero for j in range(1, 6))
 
 
 def test_act_unit_and_composition():
@@ -80,7 +78,7 @@ def test_module_identities():
         one() - free_term(1, -1, P235), P235
     )
     # the b1 coordinate of D_1 N_1: (a1^-1 - 1) N_1 = 0
-    assert d1.act(norm_element(1, P235), P235).coords[1].is_zero
+    assert d1.act(norm_element(1, P235), P235)[1].is_zero
     for p in FAMILIES:
         for i in range(1, p.n + 1):
             assert check_module_identities(i, p).ok
@@ -92,14 +90,14 @@ def test_module_generators():
     expected_a1 = norm_element(1, P235) + ring_mul(
         one() - free_term(1, -1, P235), shear, P235
     )
-    assert x1.coords[0] == expected_a1
-    assert x1.coords[1] == ring_mul(torsion_term(1, -1, P235) - one(), shear, P235)
+    assert x1[0] == expected_a1
+    assert x1[1] == ring_mul(torsion_term(1, -1, P235) - one(), shear, P235)
     # factor-2 generator has no factor-1 support
-    assert module_generator(2, P235).coords[1].is_zero
+    assert module_generator(2, P235)[1].is_zero
     top = module_generator(P235.n + 1, P235)
     for i in range(1, P235.n + 1):
-        assert top.coords[2 * (i - 1)] == one() - free_term(i, -1, P235)
-        assert top.coords[2 * (i - 1) + 1] == torsion_term(i, -1, P235) - one()
+        assert top[2 * (i - 1)] == one() - free_term(i, -1, P235)
+        assert top[2 * (i - 1) + 1] == torsion_term(i, -1, P235) - one()
     with pytest.raises(ParameterError):
         module_generator(P235.n + 2, P235)
 
@@ -113,7 +111,8 @@ def test_reduction_multiplier_small():
     assert star(star(w, P23), P23) == w
     for p in FAMILIES:
         for i in range(1, p.n + 1):
-            assert augmentation(reduction_multiplier(i, p)) == 0
+            # augmentation (coefficient sum) zero
+            assert sum(reduction_multiplier(i, p).terms.values()) == 0
 
 
 def test_reduction_identity_r2():
@@ -145,11 +144,11 @@ def test_conjugation_consistency():
         g = random_word(rng, 3)
         coeff = group_term(project(g, P235))
         conj = commutator_relator(i).conjugate_by(g)
-        assert RelElement(starred_fox_row(conj, P235)) == commutator_image(i, P235).act(
+        assert starred_fox_row(conj, P235) == commutator_image(i, P235).act(
             coeff, P235
         )
         conj = power_relator(i, P235).conjugate_by(g)
-        assert RelElement(starred_fox_row(conj, P235)) == power_image(i, P235).act(
+        assert starred_fox_row(conj, P235) == power_image(i, P235).act(
             coeff, P235
         )
 
@@ -161,25 +160,25 @@ def test_images_are_the_boundary_rows():
     for p in (P23, P235):
         d2 = d2_matrix(p)
         for i in range(1, p.n + 1):
-            assert commutator_image(i, p).coords == d2[i - 1]
-            assert power_image(i, p).coords == d2[p.n + i - 1]
+            assert commutator_image(i, p) == d2[i - 1]
+            assert power_image(i, p) == d2[p.n + i - 1]
 
 
 def test_zero_detection():
     d = commutator_image(1, P23)
     assert not d.is_zero
     assert (d - d).is_zero
-    assert (d - d).coords.width == 4
+    assert (d - d).width == 4
 
 
 def test_lifted_generators():
     x1 = lifted_generator(1, P23)
-    assert x1.coords[0] == one() - torsion_term(1, 1, P23)
-    assert x1.coords[1].is_zero
-    assert x1.coords[2] == one()
-    assert x1.coords[3].is_zero
+    assert x1[0] == one() - torsion_term(1, 1, P23)
+    assert x1[1].is_zero
+    assert x1[2] == one()
+    assert x1[3].is_zero
     top = lifted_generator(3, P23)
-    assert top.coords[0] == one() and top.coords[1] == one()
-    assert top.coords[2].is_zero and top.coords[3].is_zero
+    assert top[0] == one() and top[1] == one()
+    assert top[2].is_zero and top[3].is_zero
     with pytest.raises(ParameterError):
         lifted_generator(4, P23)
