@@ -502,22 +502,27 @@ def _parse_ring_field(text, params: PresentationParams, where: str) -> RingEleme
         raise ParseError(f"{where}: {exc.raw_message}", exc.column) from None
 
 
-def _validated_r(obj) -> list[int]:
+def _params_from_json(obj) -> PresentationParams:
+    """The orders of field 'r': ParseError when it is not a nonempty list of
+    integers, ParameterError when they are not valid orders."""
     _require(isinstance(obj, dict), "certificate must be a JSON object")
     r = obj.get("r")
     _require(
         isinstance(r, list) and r and all(_is_int(v) for v in r),
         "field 'r' must be a nonempty list of integers",
     )
-    return r
+    return PresentationParams(tuple(r))
 
 
 def certificate_from_json(obj: dict) -> Certificate:
     """Rebuild a certificate from its JSON tree.  Structural problems and
     malformed ring text raise ParseError; the mathematical content is NOT
     checked here (that is check_certificate's job)."""
-    r = _validated_r(obj)
-    params = PresentationParams(tuple(r))  # ParameterError on bad orders
+    return _certificate_fields(obj, _params_from_json(obj))
+
+
+def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
+    """certificate_from_json for a tree whose 'r' already gave params."""
     n = params.n
     version = obj.get("version")
     _require(
@@ -601,12 +606,12 @@ def check_certificate_json(obj) -> CheckReport:
     """Validate a raw JSON tree: bad presentation parameters give a
     rejection at the params stage, everything else defers to
     certificate_from_json + check_certificate."""
-    r = _validated_r(obj)
     try:
-        PresentationParams(tuple(r))
+        params = _params_from_json(obj)
     except ParameterError as exc:
         return CheckReport(False, (CheckItem("params", False, str(exc)),))
-    cert = certificate_from_json(obj)
+    # Outside the try: a ParameterError from ring text is no params verdict.
+    cert = _certificate_fields(obj, params)
     report = check_certificate(cert)
     items = (CheckItem("params", True, "orders valid and pairwise coprime"),) + report.items
     return CheckReport(report.accepted, items)
@@ -664,8 +669,7 @@ def chain_export_to_json(export: ChainExport) -> dict:
 
 def chain_export_from_json(obj: dict) -> ChainExport:
     """Inverse of chain_export_to_json (labels are regenerated, not read)."""
-    r = _validated_r(obj)
-    params = PresentationParams(tuple(r))
+    params = _params_from_json(obj)
     n = params.n
     version = obj.get("version")
     _require(_is_int(version) and version == CERTIFICATE_VERSION, "unsupported version")

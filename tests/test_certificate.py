@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from relcert import certificate
 from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams
 from relcert.foxcomplex import RingMatrix, RingVector, apply, compose, d2_matrix
@@ -254,6 +255,30 @@ def test_non_coprime_r_rejected_at_params_stage():
     assert not report.accepted
     assert report.items[0].name == "params"
     assert not report.items[0].passed
+
+
+def test_check_json_builds_params_once(monkeypatch):
+    obj = json.loads(certificate_bytes(build_certificate(P235)))
+    built = []
+
+    def counting(r):
+        built.append(r)
+        return PresentationParams(r)
+
+    monkeypatch.setattr(certificate, "PresentationParams", counting)
+    assert check_certificate_json(obj).accepted
+    assert built == [(2, 3, 5)]
+
+
+def test_ring_text_parameter_error_is_not_a_params_verdict(monkeypatch):
+    obj = json.loads(certificate_bytes(build_certificate(P23)))
+
+    def failing(text, params):
+        raise ParameterError("raised while reading ring text")
+
+    monkeypatch.setattr(certificate, "parse_ring", failing)
+    with pytest.raises(ParameterError, match="while reading ring text"):
+        check_certificate_json(obj)
 
 
 def test_perturbed_lambda_names_reconstruction():

@@ -1,10 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relcert.errors import ParseError
+from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams, random_word
 from relcert.groupring import (
+    RingElement,
+    _packed_factor,
+    _packed_mul,
+    _sparse_mul,
     check_cyclic_identities,
     free_term,
     from_terms,
@@ -183,3 +189,165 @@ def test_parse_ring_errors():
     assert err.value.column == 5
     with pytest.raises(ParseError):
         parse_ring("a9", P3)
+
+
+# ---------------------------------------------------------------------------
+# The packed (Kronecker) path of ring_mul against the plain sparse kernel.
+
+BIG = 2**200
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+
+
+def factor_params(r: int, second: bool) -> tuple[PresentationParams, int]:
+    """Params with a factor of order r (at least 2), as factor 1 or 2."""
+    r = max(r, 2)
+    return (PresentationParams((r + 1, r)), 2) if second else (PresentationParams((r,)), 1)
+
+
+@st.composite
+def factor_elements(draw, params, factor, r, max_terms=30, spread=3):
+    """An element of factor `factor`'s subring with torsion exponents below
+    r: free exponents within `spread` of a possibly huge base, coefficients
+    up to 2^200."""
+    base = draw(st.one_of(st.just(0), st.integers(-(2**40), 2**40)))
+    terms = draw(
+        st.lists(
+            st.tuples(st.integers(0, r - 1), st.integers(-spread, spread), coefficients),
+            min_size=1,
+            max_size=max_terms,
+        )
+    )
+    return from_terms(
+        (gmul(torsion_power(factor, k, params), free_power(factor, base + m, params), params), c)
+        for k, m, c in terms
+    )
+
+
+def sparse(x, y, params):
+    return RingElement(_sparse_mul(x.terms, y.terms, params))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 1009), st.booleans())
+def test_packed_matches_sparse(data, r, second):
+    # r = 1 is not a valid order, but Z[C_1 x Z] = Z[b^-1, b] is the k = 0
+    # part of every factor's subring, so the packed kernel at r = 1 is held
+    # to the sparse kernel at r = 2 on elements without torsion.
+    params, factor = factor_params(r, second)
+    x = data.draw(factor_elements(params, factor, r))
+    y = data.draw(factor_elements(params, factor, r))
+    expected = sparse(x, y, params)
+    assert ring_mul(x, y, params) == expected
+    if not x.is_zero and not y.is_zero:
+        assert RingElement(_packed_mul(x.terms, y.terms, factor, r)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 1009), st.booleans())
+def test_packed_exact_cancellation(data, r, second):
+    # (1 - a^j) x N = 0: every slot of the packed product folds to zero.
+    params, factor = factor_params(r, second)
+    x = data.draw(factor_elements(params, factor, r))
+    j = data.draw(st.integers(1, r - 1))
+    shear = ring_mul(one() - torsion_term(factor, j, params), x, params)
+    norm = norm_element(factor, params)
+    assert sparse(shear, norm, params).is_zero
+    assert ring_mul(shear, norm, params).is_zero
+    if not shear.is_zero:
+        assert _packed_mul(shear.terms, norm.terms, factor, r) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 40), st.booleans())
+def test_mixed_and_identity_operands_take_sparse(data, r, second):
+    params, factor = factor_params(r, second)
+    x = data.draw(factor_elements(params, factor, r))
+    other = 3 - factor  # the second factor, or factor 2 of a one-factor params
+    if params.n == 1:
+        params = PresentationParams((r, r + 1))
+    cross = free_term(other, data.draw(st.integers(-3, 3)) or 1, params, 2)
+    mixed = x + cross  # keys in two factors
+    two_syllables = x + group_term(
+        gmul(torsion_power(factor, 1, params), free_power(other, 1, params), params)
+    )
+    scalar = data.draw(coefficients.filter(bool)) * one()
+    for z in (mixed, two_syllables, scalar):
+        for a, b in ((z, x), (x, z)):
+            assert _packed_factor(a.terms, b.terms, params) == 0
+            assert ring_mul(a, b, params) == sparse(a, b, params)
+
+
+def test_out_of_range_torsion_exponent_still_raises():
+    # N_1 at r = 7 has a1^5 and a1^6, out of range for r = 5.  The shape
+    # alone would pick the packed path; the range check sends it to gmul.
+    p5 = PresentationParams((5,))
+    foreign = norm_element(1, PresentationParams((7,)))
+    norm = norm_element(1, p5)
+    assert _packed_factor(norm.terms, foreign.terms, p5) == 0
+    with pytest.raises(ParameterError, match="different parameters"):
+        ring_mul(norm, foreign, p5)
+
+
+def test_dispatch_declines_sparse_rows():
+    # 300 one-term rows b^m with spread-out a-exponents at r = 1009: packing
+    # would pad 599 product rows of 2018 slots for 90,000 pairs.
+    p = PresentationParams((1009,))
+
+    def rows(step):
+        return from_terms(
+            (gmul(torsion_power(1, step * j, p), free_power(1, j, p), p), 1 + j)
+            for j in range(300)
+        )
+
+    assert _packed_factor(rows(337).terms, rows(211).terms, p) == 0
+    norm, ramp = norm_element(1, p), ramp_element(1, p)
+    assert _packed_factor(norm.terms, ramp.terms, p) == 1
+
+
+# ---------------------------------------------------------------------------
+# Ring axioms as properties, over supports that mix one-factor and
+# multi-factor elements so both paths of ring_mul run.
+
+P357 = PresentationParams((3, 5, 7))
+
+
+@st.composite
+def ring_triples(draw, params=P357):
+    """Three elements, each in one factor's subring (the same factor for all
+    three, so that their products take the packed path) or spread over
+    several factors."""
+    factor = draw(st.integers(1, params.n))
+
+    def element():
+        if draw(st.integers(0, 3)):
+            r = params.order(factor)
+            return draw(factor_elements(params, factor, r, max_terms=20, spread=1))
+        seed = draw(st.integers(0, 2**32))
+        return random_ring(random.Random(seed), params, coeff_bound=10**6)
+
+    return element(), element(), element()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_triples())
+def test_associativity_property(xyz):
+    x, y, z = xyz
+    p = P357
+    assert ring_mul(ring_mul(x, y, p), z, p) == ring_mul(x, ring_mul(y, z, p), p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_triples())
+def test_distributivity_property(xyz):
+    x, y, z = xyz
+    p = P357
+    assert ring_mul(x, y + z, p) == ring_mul(x, y, p) + ring_mul(x, z, p)
+    assert ring_mul(x + y, z, p) == ring_mul(x, z, p) + ring_mul(y, z, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_triples())
+def test_star_anti_automorphism_property(xyz):
+    x, y, _ = xyz
+    p = P357
+    assert star(ring_mul(x, y, p), p) == ring_mul(star(y, p), star(x, p), p)
