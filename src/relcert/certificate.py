@@ -7,7 +7,8 @@ over the n+1 distinguished generators, the kernel elements attached as
 of a free basis of C2.  Everything a certificate claims is re-checkable
 from its fields alone by ring arithmetic; the checker shares only that
 arithmetic with the builder, so a construction bug cannot vouch for
-itself.
+itself.  build_certificate checks nothing: every command that emits built
+data runs the checker on it first.
 """
 
 from __future__ import annotations
@@ -165,10 +166,8 @@ def _basis_ops(
 
 
 def build_certificate(params: PresentationParams) -> Certificate:
-    """Construct and internally verify a certificate for the given orders.
-
-    A verification failure here is a hard fault: it means the construction
-    itself is wrong, never the input."""
+    """Construct a certificate for the given orders, unchecked: the checker
+    alone implements the identities it claims (see require_accepted)."""
     n = params.n
     crt = crt_coefficients(params)
     w = [reduction_multiplier(j, params) for j in range(1, n + 1)]
@@ -191,25 +190,9 @@ def build_certificate(params: PresentationParams) -> Certificate:
         mu_rows.append(tuple(row))
     mu = tuple(mu_rows)
 
-    gens = [module_generator(k, params) for k in range(1, n + 2)]
-    for i in range(1, n + 1):
-        got = _reconstruct(gens, [lam[k][i - 1] for k in range(n + 1)], params)
-        if got != commutator_image(i, params):
-            raise VerificationError(f"commutator class {i} not reconstructed")
-        got = _reconstruct(gens, [mu[k][i - 1] for k in range(n + 1)], params)
-        if got != power_image(i, params):
-            raise VerificationError(f"power class {i} not reconstructed")
-
-    d2 = d2_matrix(params)
-    alphas = []
-    for i in range(1, n):
-        alpha = _alpha_coords(i, lam, params)
-        if not apply(d2, alpha, params).is_zero:
-            raise VerificationError(f"kernel element {i} has nonzero boundary")
-        alphas.append(alpha)
-
+    alphas = tuple(_alpha_coords(i, lam, params) for i in range(1, n))
     ops = _basis_ops(lam, params) if n >= 2 else ()
-    return Certificate(params, crt, lam, mu, tuple(alphas), ops)
+    return Certificate(params, crt, lam, mu, alphas, ops)
 
 
 def replay(
@@ -291,10 +274,8 @@ def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRi
     if cert.params.n < 2:
         raise ParameterError("basis change requires n >= 2")
     p, q, inverts = _check_basis(cert)
-    if q is None:
-        raise VerificationError(NOT_REDUCED)
     if not inverts:
-        raise VerificationError(NOT_INVERSE)
+        raise VerificationError(NOT_REDUCED if q is None else NOT_INVERSE)
     return p, q, cert.basis_ops
 
 
@@ -370,14 +351,16 @@ class CheckReport:
         return tuple(item.name for item in self.items if not item.passed)
 
 
-def check_certificate(cert: Certificate) -> CheckReport:
-    """Independently re-check every identity a certificate claims.
+def require_accepted(report: CheckReport) -> CheckReport:
+    """The report on a built certificate; a rejection is a construction bug."""
+    if not report.accepted:
+        raise VerificationError(f"built certificate fails {', '.join(report.failures)}")
+    return report
 
-    Re-derives nothing: the stored integers are tested by modular
-    arithmetic, the stored coefficient matrices by reconstructing both
-    relator-class families, the stored kernel elements by boundary
-    application, and the stored trace by replay.  Shares only the ring
-    kernel with the builder."""
+
+def check_relations(cert: Certificate) -> CheckReport:
+    """The items of check_certificate before the basis trace: the CRT
+    integers, both relator-class reconstructions and the alpha kernels."""
     params = cert.params
     n = params.n
     items: list[CheckItem] = []
@@ -406,26 +389,14 @@ def check_certificate(cert: Certificate) -> CheckReport:
     items.append(CheckItem("t sum", ok, "sum of t_i = 1 mod prod r_j^2"))
 
     gens = [module_generator(k, params) for k in range(1, n + 2)]
-    for i in range(1, n + 1):
-        got = _reconstruct(gens, [cert.lam[k][i - 1] for k in range(n + 1)], params)
-        items.append(
-            CheckItem(
-                f"D_{i} reconstruction",
-                got == commutator_image(i, params),
-                "sum_k X_k lambda_ki equals the commutator class",
-            )
-        )
-    for i in range(1, n + 1):
-        got = _reconstruct(gens, [cert.mu[k][i - 1] for k in range(n + 1)], params)
-        items.append(
-            CheckItem(
-                f"E_{i} reconstruction",
-                got == power_image(i, params),
-                "sum_k X_k mu_ki equals the power class",
-            )
-        )
+    for family, coeffs, image, detail in (
+        ("D", cert.lam, commutator_image, "sum_k X_k lambda_ki equals the commutator class"),
+        ("E", cert.mu, power_image, "sum_k X_k mu_ki equals the power class"),
+    ):
+        for i in range(1, n + 1):
+            got = _reconstruct(gens, [coeffs[k][i - 1] for k in range(n + 1)], params)
+            items.append(CheckItem(f"{family}_{i} reconstruction", got == image(i, params), detail))
 
-    basis = None
     if n >= 2:
         d2 = d2_matrix(params)
         for i, a in enumerate(cert.alpha, start=1):
@@ -436,6 +407,20 @@ def check_certificate(cert: Certificate) -> CheckReport:
                     "boundary of the 3-cell attaching element vanishes",
                 )
             )
+    return CheckReport(all(item.passed for item in items), tuple(items))
+
+
+def check_certificate(cert: Certificate) -> CheckReport:
+    """Independently re-check every identity a certificate claims.
+
+    Re-derives nothing: the stored integers are tested by modular
+    arithmetic, the stored coefficient matrices by reconstructing both
+    relator-class families, the stored kernel elements by boundary
+    application (these three are check_relations), and the stored trace by
+    replay.  Shares only the ring kernel with build_certificate."""
+    items = list(check_relations(cert).items)
+    basis = None
+    if cert.params.n >= 2:
         p, q, inverts = _check_basis(cert)
         items.append(
             CheckItem(
@@ -449,9 +434,7 @@ def check_certificate(cert: Certificate) -> CheckReport:
             items.append(CheckItem("basis inverse", inverts, "P Q = Q P = identity"))
         else:
             items.append(CheckItem("basis inverse", False, "no permutation to invert"))
-
-    accepted = all(item.passed for item in items)
-    return CheckReport(accepted, tuple(items), basis)
+    return CheckReport(all(item.passed for item in items), tuple(items), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +620,9 @@ class ChainExport:
 
 
 def build_chain_export(params: PresentationParams) -> ChainExport:
+    """Build the certificate, check all of it, and take (P, Q) from the check."""
     cert = build_certificate(params)
-    if params.n >= 2:
-        p, q, _ = basis_change(cert)
-    else:
-        p = q = None
+    p, q = require_accepted(check_certificate(cert)).basis or (None, None)
     return ChainExport(params, d1_vector(params), d2_matrix(params), cert.alpha, p, q)
 
 

@@ -247,6 +247,21 @@ def word_to_text(w: FreeWord) -> str:
     return " ".join(str(g) if e == 1 else f"{g}^{e}" for g, e in w.letters)
 
 
+def scan_int(text: str, pos: int) -> tuple[int | None, int]:
+    """The integer of the digit run at text[pos:] (None if there is none) and
+    the position after it; ParseError at its column when int() refuses the
+    run: a non-decimal digit such as '²', or over CPython's 4300-digit limit."""
+    end = pos
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    if end == pos:
+        return None, pos
+    try:
+        return int(text[pos:end]), end
+    except ValueError:
+        raise ParseError("integer literal is not decimal or too long", pos + 1) from None
+
+
 def parse_word(text: str, n: int | None = None) -> FreeWord:
     """Parse the word grammar: "e", or terms like a1, b2^-3 separated by
     whitespace or '*'.  Raises ParseError carrying a 1-based column."""
@@ -275,11 +290,9 @@ def parse_word(text: str, n: int | None = None) -> FreeWord:
             raise ParseError(f"expected generator 'a' or 'b', found {kind!r}", pos + 1)
         pos += 1
         dstart = pos
-        while pos < size and s[pos].isdigit():
-            pos += 1
-        if dstart == pos:
+        index, pos = scan_int(s, pos)
+        if index is None:
             raise ParseError("expected generator index digits", pos + 1)
-        index = int(s[dstart:pos])
         if index < 1:
             raise ParseError("generator index must be >= 1", dstart + 1)
         if n is not None and index > n:
@@ -291,12 +304,10 @@ def parse_word(text: str, n: int | None = None) -> FreeWord:
             if pos < size and s[pos] == "-":
                 sign = -1
                 pos += 1
-            dstart = pos
-            while pos < size and s[pos].isdigit():
-                pos += 1
-            if dstart == pos:
+            magnitude, pos = scan_int(s, pos)
+            if magnitude is None:
                 raise ParseError("expected exponent digits after '^'", pos + 1)
-            exp = sign * int(s[dstart:pos])
+            exp = sign * magnitude
         raw.append((Generator(kind, index), exp))
         skip_sep()
     return FreeWord.from_letters(raw)

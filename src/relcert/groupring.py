@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import ParseError
-from .freewords import PresentationParams, parse_word
+from .freewords import PresentationParams, parse_word, scan_int
 from .normalform import (
     IDENTITY,
     GroupElement,
     Syllable,
     canonical_key,
+    check_reduced,
     element_to_text,
     ginv,
     gmul,
@@ -145,6 +146,8 @@ def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> Ring
 def _sparse_mul(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
     """The plain convolution: one gmul per pair of terms.  Runs every product
     the packed path declines, and is the reference the tests hold it to."""
+    for g in xt:  # gmul checks only its right operand
+        check_reduced(g, params)
     # The accumulate loop stays inline here: this is the hot path.
     out: dict[GroupElement, int] = {}
     for g, cg in xt.items():
@@ -389,11 +392,8 @@ def parse_ring(text: str, params: PresentationParams) -> RingElement:
             raise ParseError("expected a term", pos + 1)
         coeff = 1
         if s[pos].isdigit():
-            dstart = pos
-            while pos < size and s[pos].isdigit():
-                pos += 1
+            coeff, pos = scan_int(s, pos)
             if pos < size and s[pos] == "*":
-                coeff = int(s[dstart:pos])
                 pos += 1
             else:
                 raise ParseError("expected '*' between coefficient and group word", pos + 1)

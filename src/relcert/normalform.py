@@ -79,7 +79,8 @@ def project(w: FreeWord, params: PresentationParams) -> GroupElement:
 
 def gmul(x: GroupElement, y: GroupElement, params: PresentationParams) -> GroupElement:
     """Normal-form product: boundary syllables of equal factor merge
-    (k mod r, m additively) and vanishing syllables cascade away."""
+    (k mod r, m additively) and vanishing syllables cascade away.  Trusts x:
+    only y's torsion exponents are range-checked (see check_reduced)."""
     r = params.r
     stack = list(x.syllables)
     for factor, k, m in y.syllables:
@@ -93,18 +94,23 @@ def gmul(x: GroupElement, y: GroupElement, params: PresentationParams) -> GroupE
     return GroupElement(tuple(stack))
 
 
-def ginv(x: GroupElement, params: PresentationParams) -> GroupElement:
-    r = params.r
-    out = []
-    for factor, k, m in reversed(x.syllables):
-        rf = r[factor - 1]
+def check_reduced(x: GroupElement, params: PresentationParams) -> None:
+    """ParameterError unless each torsion exponent of x lies in [0, r_f)."""
+    for factor, k, _ in x.syllables:
+        rf = params.r[factor - 1]
         if not 0 <= k < rf:
             raise ParameterError(
                 f"torsion exponent {k} out of range for r[{factor - 1}]={rf}; "
                 "operand built with different parameters?"
             )
-        out.append(Syllable(factor, (rf - k) % rf, -m))
-    return GroupElement(tuple(out))
+
+
+def ginv(x: GroupElement, params: PresentationParams) -> GroupElement:
+    check_reduced(x, params)
+    r = params.r
+    return GroupElement(
+        tuple(Syllable(f, (r[f - 1] - k) % r[f - 1], -m) for f, k, m in reversed(x.syllables))
+    )
 
 
 def torsion_power(i: int, j: int, params: PresentationParams) -> GroupElement:

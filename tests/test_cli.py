@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relcert import cli
+from relcert import certificate, cli
 from relcert.cli import main, run_verification
 from relcert.freewords import PresentationParams
 from relcert.groupring import one
@@ -190,3 +190,79 @@ def test_check_cert_malformed_fields_exit_2(orders, edit, tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert main(["check-cert", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_reconstructs_each_family_once(monkeypatch):
+    calls = []
+    reconstruct = certificate._reconstruct
+
+    def counting(*args):
+        calls.append(1)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(certificate, "_reconstruct", counting)
+    params = PresentationParams((2, 3, 5))
+    assert all(g.status == "pass" for g in run_verification(params, sample=5))
+    assert len(calls) == 2 * params.n  # D_i and E_i, each once
+
+
+@pytest.mark.parametrize("command", ["certificate", "complex"])
+def test_built_certificate_fault_exits_1(command, monkeypatch, tmp_path, capsys):
+    alpha_coords = certificate._alpha_coords
+
+    def corrupt(i, lam, params):
+        alpha = alpha_coords(i, lam, params)
+        return type(alpha)((alpha[0] + one(),) + alpha.entries[1:]) if i == 1 else alpha
+
+    monkeypatch.setattr(certificate, "_alpha_coords", corrupt)
+    path = tmp_path / "out.json"
+    assert main([command, "--r", "2,3,5", "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "internal verification fault" in captured.err
+    assert "alpha_1 kernel" in captured.err
+    assert captured.out == ""
+    assert not path.exists()
+
+
+def _check_cert_edited(tmp_path, capsys, edit):
+    """Exit code and stderr of check-cert on a (2,3) certificate whose JSON
+    text went through edit."""
+    assert main(["certificate", "--r", "2,3"]) == 0
+    path = tmp_path / "cert.json"
+    path.write_text(edit(capsys.readouterr().out))
+    code = main(["check-cert", str(path)])
+    return code, capsys.readouterr().err
+
+
+LONG = "7" * 5000  # past CPython's 4300-digit integer-string limit
+
+
+def test_check_cert_long_ring_coefficient_exit_2(tmp_path, capsys):
+    def edit(text):
+        obj = json.loads(text)
+        obj["lambda"][0][0] = f"{LONG}*a1"
+        return json.dumps(obj)
+
+    code, err = _check_cert_edited(tmp_path, capsys, edit)
+    assert code == 2
+    assert "lambda[0][0]: integer literal is not decimal or too long (column 1)" in err
+
+
+def test_check_cert_long_json_integer_exit_2(tmp_path, capsys):
+    def edit(text):
+        obj = json.loads(text)
+        return json.dumps(obj).replace('"t": [9,', f'"t": [{LONG},')
+
+    code, err = _check_cert_edited(tmp_path, capsys, edit)
+    assert code == 2
+    assert "is not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "word, column",
+    [("a1^" + "4" * 4400, 4), ("b1 a" + "1" * 4400, 5), ("a1^-" + "9" * 4400, 5)],
+    ids=["exponent", "index", "negative-exponent"],
+)
+def test_normalize_long_integer_exit_2(word, column, capsys):
+    assert main(["normalize", word, "--r", "2,3"]) == 2
+    assert f"(column {column})" in capsys.readouterr().err

@@ -284,8 +284,13 @@ def test_out_of_range_torsion_exponent_still_raises():
     foreign = norm_element(1, PresentationParams((7,)))
     norm = norm_element(1, p5)
     assert _packed_factor(norm.terms, foreign.terms, p5) == 0
-    with pytest.raises(ParameterError, match="different parameters"):
-        ring_mul(norm, foreign, p5)
+    # gmul checks only its right operand; _sparse_mul checks the left one.
+    p3 = PresentationParams((3,))
+    stray = one() + torsion_term(1, 5, PresentationParams((7,)))
+    for params, x, y in ((p5, norm, foreign), (p3, stray, norm_element(1, p3))):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ParameterError, match="different parameters"):
+                ring_mul(a, b, params)
 
 
 def test_dispatch_declines_sparse_rows():
