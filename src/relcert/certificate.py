@@ -29,7 +29,9 @@ from .foxcomplex import (
     d1_vector,
     d2_matrix,
 )
-from .groupring import RingElement, one, parse_ring, ring_mul, ring_to_text, torsion_term, zero
+from .groupring import (
+    RingElement, accumulate, one, parse_ring, ring_mul, ring_to_text, torsion_term, zero
+)
 from .relmodule import (
     commutator_image,
     lifted_generator,
@@ -116,10 +118,11 @@ def _reconstruct(
     coeffs: list[RingElement],
     params: PresentationParams,
 ) -> RingVector:
-    total = gens[0].act(coeffs[0], params)
-    for g, c in zip(gens[1:], coeffs[1:]):
-        total = total + g.act(c, params)
-    return total
+    sums = [{} for _ in gens[0].entries]
+    for g, c in zip(gens, coeffs):
+        for acc, product in zip(sums, g.act(c, params).entries):
+            accumulate(acc, product.terms.items())
+    return RingVector(tuple(RingElement(acc) for acc in sums))
 
 
 def _alpha_coords(
@@ -345,6 +348,8 @@ class CheckReport:
     # The (P, Q) pair the basis items checked; None when n = 1 or when the
     # trace does not reach a permutation, so that no Q can be read off.
     basis: tuple[RingMatrix, RingMatrix] | None = None
+    # The d2 the alpha kernel items applied; None when n = 1.
+    d2: RingMatrix | None = None
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -397,6 +402,7 @@ def check_relations(cert: Certificate) -> CheckReport:
             got = _reconstruct(gens, [coeffs[k][i - 1] for k in range(n + 1)], params)
             items.append(CheckItem(f"{family}_{i} reconstruction", got == image(i, params), detail))
 
+    d2 = None
     if n >= 2:
         d2 = d2_matrix(params)
         for i, a in enumerate(cert.alpha, start=1):
@@ -407,7 +413,7 @@ def check_relations(cert: Certificate) -> CheckReport:
                     "boundary of the 3-cell attaching element vanishes",
                 )
             )
-    return CheckReport(all(item.passed for item in items), tuple(items))
+    return CheckReport(all(item.passed for item in items), tuple(items), d2=d2)
 
 
 def check_certificate(cert: Certificate) -> CheckReport:
@@ -418,7 +424,8 @@ def check_certificate(cert: Certificate) -> CheckReport:
     relator-class families, the stored kernel elements by boundary
     application (these three are check_relations), and the stored trace by
     replay.  Shares only the ring kernel with build_certificate."""
-    items = list(check_relations(cert).items)
+    relations = check_relations(cert)
+    items = list(relations.items)
     basis = None
     if cert.params.n >= 2:
         p, q, inverts = _check_basis(cert)
@@ -434,7 +441,7 @@ def check_certificate(cert: Certificate) -> CheckReport:
             items.append(CheckItem("basis inverse", inverts, "P Q = Q P = identity"))
         else:
             items.append(CheckItem("basis inverse", False, "no permutation to invert"))
-    return CheckReport(all(item.passed for item in items), tuple(items), basis)
+    return CheckReport(all(item.passed for item in items), tuple(items), basis, relations.d2)
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +627,12 @@ class ChainExport:
 
 
 def build_chain_export(params: PresentationParams) -> ChainExport:
-    """Build the certificate, check all of it, and take (P, Q) from the check."""
+    """Build the certificate, check all of it, and take (P, Q) and d2 from it."""
     cert = build_certificate(params)
-    p, q = require_accepted(check_certificate(cert)).basis or (None, None)
-    return ChainExport(params, d1_vector(params), d2_matrix(params), cert.alpha, p, q)
+    report = require_accepted(check_certificate(cert))
+    p, q = report.basis or (None, None)
+    d2 = report.d2 if report.d2 is not None else d2_matrix(params)
+    return ChainExport(params, d1_vector(params), d2, cert.alpha, p, q)
 
 
 def _matrix_texts(m: RingMatrix) -> list[list[str]]:

@@ -32,7 +32,7 @@ from .freewords import (
     generators,
     power_relator,
 )
-from .groupring import RingElement, from_terms, group_term, one, ring_mul, star, zero
+from .groupring import RingElement, accumulate, from_terms, group_term, one, ring_mul, star, zero
 from .normalform import IDENTITY, GroupElement, ginv, gmul, project, torsion_power, free_power
 
 
@@ -124,13 +124,13 @@ def apply(m: RingMatrix, v: RingVector, params: PresentationParams) -> RingVecto
         )
     cols = []
     for c in range(m.ncols):
-        acc = zero()
+        acc: dict[GroupElement, int] = {}
         for k in range(m.nrows):
             vk = v.entries[k]
             entry = m.rows[k].entries[c]
             if vk.terms and entry.terms:
-                acc = acc + ring_mul(entry, vk, params)
-        cols.append(acc)
+                accumulate(acc, ring_mul(entry, vk, params).terms.items())
+        cols.append(RingElement(acc))
     return RingVector(tuple(cols))
 
 
@@ -204,11 +204,11 @@ def d1_contract(v: RingVector, params: PresentationParams) -> RingElement:
     d1 = d1_vector(params)
     if v.width != d1.width:
         raise ParameterError(f"vector width {v.width} != 2n = {d1.width}")
-    acc = zero()
+    acc: dict[GroupElement, int] = {}
     for entry, vx in zip(d1.entries, v.entries):
         if vx.terms:
-            acc = acc + ring_mul(entry, vx, params)
-    return acc
+            accumulate(acc, ring_mul(entry, vx, params).terms.items())
+    return RingElement(acc)
 
 
 def fundamental_identity_holds(w: FreeWord, params: PresentationParams) -> bool:

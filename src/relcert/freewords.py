@@ -62,12 +62,12 @@ class PresentationParams:
             raise ParameterError("need at least one factor (empty r)")
         for i, ri in enumerate(self.r):
             if not isinstance(ri, int) or ri < 2:
-                raise ParameterError(f"r[{i}]={ri!r} must be an integer >= 2")
+                raise ParameterError(f"r[{i}]={_brief(ri)} must be an integer >= 2")
         for i in range(len(self.r)):
             for j in range(i + 1, len(self.r)):
                 if math.gcd(self.r[i], self.r[j]) != 1:
                     raise ParameterError(
-                        f"r[{i}]={self.r[i]} and r[{j}]={self.r[j]} not coprime"
+                        f"r[{i}]={_brief(self.r[i])} and r[{j}]={_brief(self.r[j])} not coprime"
                     )
 
     @property
@@ -82,6 +82,14 @@ class PresentationParams:
     def check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ParameterError(f"factor index {i} out of range 1..{self.n}")
+
+
+def _brief(value) -> str:
+    """repr(value), except that an int past 128 bits is named by its size:
+    CPython will not print one of more than 4300 digits."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    return repr(value)
 
 
 class FreeWord:

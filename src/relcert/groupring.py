@@ -11,9 +11,10 @@ Z[C_r x Z] = Z[x, y^-1, y]/(x^r - 1), every key being the identity or a
 single syllable of that factor, ring_mul packs each operand into one
 integer by Kronecker substitution, lets CPython's big-integer product do the
 whole convolution and folds x^r = 1 while unpacking.  Every other product,
-and any one-factor shape too sparse for packing to pay, runs the plain
-convolution: one gmul per pair of terms.  The choice depends on the
-operands' shape alone (_packed_factor).
+and any one-factor shape too sparse for packing to pay, runs the sparse
+convolution, which joins each pair of keys at their boundary syllables
+(_sparse_mul).  The choice depends on the operands' shape alone
+(_packed_factor).
 """
 
 from __future__ import annotations
@@ -144,21 +145,41 @@ def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> Ring
 
 
 def _sparse_mul(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
-    """The plain convolution: one gmul per pair of terms.  Runs every product
-    the packed path declines, and is the reference the tests hold it to."""
-    for g in xt:  # gmul checks only its right operand
-        check_reduced(g, params)
-    # The accumulate loop stays inline here: this is the hot path.
-    out: dict[GroupElement, int] = {}
+    """The pairwise convolution for every product the packed path declines.
+    In g * h only the last syllable of g and the first of h can meet; only
+    when their merge vanishes does gmul cascade further.  Sums are keyed by
+    plain syllable tuples, hashed in C, and wrapped once at the end."""
+    r = params.r
+    right = []  # (syllables, first factor or 0, head syllable, suffix, coefficient)
+    for h, ch in yt.items():
+        check_reduced(h, params)
+        hs = h.syllables
+        right.append((hs, hs[0][0], hs[0], hs[1:], ch) if hs else (hs, 0, None, hs, ch))
+    out: dict[tuple[Syllable, ...], int] = {}
+    get = out.get
+    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
     for g, cg in xt.items():
-        for h, ch in yt.items():
-            key = gmul(g, h, params)
-            v = out.get(key, 0) + cg * ch
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+        check_reduced(g, params)
+        gs = g.syllables
+        if not gs:
+            for hs, _, _, _, ch in right:
+                out[hs] = get(hs, 0) + cg * ch
+            continue
+        f, k, m = gs[-1]
+        prefix = gs[:-1]
+        rf = r[f - 1]
+        for hs, hf, head, suffix, ch in right:
+            if hf != f:
+                key = gs + hs
+            else:
+                k2 = (k + head[1]) % rf
+                m2 = m + head[2]
+                if k2 or m2:
+                    key = prefix + (new_syllable(Syllable, (f, k2, m2)),) + suffix
+                else:
+                    key = gmul(GroupElement(prefix), GroupElement(suffix), params).syllables
+            out[key] = get(key, 0) + cg * ch
+    return {GroupElement(key): c for key, c in out.items() if c}
 
 
 def _factor_span(terms, params: PresentationParams):

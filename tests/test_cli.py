@@ -256,6 +256,8 @@ def test_check_cert_long_json_integer_exit_2(tmp_path, capsys):
     code, err = _check_cert_edited(tmp_path, capsys, edit)
     assert code == 2
     assert "is not valid JSON" in err
+    assert "integer literal exceeds 4300 digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(

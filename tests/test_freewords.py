@@ -41,6 +41,21 @@ def test_params_validation():
         p.order(4)
 
 
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        ((-(10**5000),), r"r\[0\]=-<16610-bit integer> must be an integer >= 2"),
+        ((10**5000, 10), r"r\[0\]=<16610-bit integer> and r\[1\]=10 not coprime"),
+    ],
+    ids=["range", "coprime"],
+)
+def test_params_huge_order_message(r, message):
+    # Past 4300 digits int() refuses to print, so the message names bits.
+    with pytest.raises(ParameterError, match=message) as info:
+        PresentationParams(r)
+    assert len(str(info.value)) < 100
+
+
 def test_reduce_cancellation():
     assert FreeWord.from_letters([(A1, 1), (A1, -1)]) == EMPTY_WORD
     assert FreeWord.from_letters([(A1, 1), (B1, 1), (B1, -1), (A1, 1)]) == FreeWord(

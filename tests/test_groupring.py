@@ -25,7 +25,16 @@ from relcert.groupring import (
     torsion_term,
     zero,
 )
-from relcert.normalform import IDENTITY, free_power, gmul, project, torsion_power
+from relcert.normalform import (
+    IDENTITY,
+    GroupElement,
+    Syllable,
+    check_reduced,
+    free_power,
+    gmul,
+    project,
+    torsion_power,
+)
 
 P3 = PresentationParams((3, 5))
 P235 = PresentationParams((2, 3, 5))
@@ -192,7 +201,25 @@ def test_parse_ring_errors():
 
 
 # ---------------------------------------------------------------------------
-# The packed (Kronecker) path of ring_mul against the plain sparse kernel.
+# Both paths of ring_mul against the plain convolution.
+
+
+def reference_mul(xt, yt, params):
+    """The plain convolution, one gmul per pair of terms: the reference both
+    kernels of ring_mul are held to."""
+    for g in xt:  # gmul checks only its right operand
+        check_reduced(g, params)
+    out = {}
+    for g, cg in xt.items():
+        for h, ch in yt.items():
+            key = gmul(g, h, params)
+            v = out.get(key, 0) + cg * ch
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+    return out
+
 
 BIG = 2**200
 coefficients = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
@@ -224,7 +251,64 @@ def factor_elements(draw, params, factor, r, max_terms=30, spread=3):
 
 
 def sparse(x, y, params):
-    return RingElement(_sparse_mul(x.terms, y.terms, params))
+    return RingElement(reference_mul(x.terms, y.terms, params))
+
+
+@st.composite
+def syllable_elements(draw, params, max_terms=20):
+    """An element whose keys are normal forms of up to five syllables drawn
+    over all factors, the identity among them, with coefficients up to
+    2^200.  Few distinct syllables, so boundary merges and vanishing merges
+    both occur."""
+    syllable = st.tuples(
+        st.integers(1, params.n), st.integers(0, 6), st.integers(-1, 1)
+    )
+    words = st.lists(syllable, max_size=5)
+    terms = draw(st.lists(st.tuples(words, coefficients), min_size=1, max_size=max_terms))
+
+    def key(word):
+        g = IDENTITY
+        for f, k, m in word:
+            g = gmul(g, torsion_power(f, k, params), params)
+            g = gmul(g, free_power(f, m, params), params)
+        return g
+
+    return from_terms((key(word), c) for word, c in terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([P235, PresentationParams((3, 5, 7))]))
+def test_ring_mul_matches_reference(data, params):
+    x = data.draw(syllable_elements(params))
+    y = data.draw(syllable_elements(params))
+    expected = reference_mul(x.terms, y.terms, params)
+    assert ring_mul(x, y, params).terms == expected
+    assert _sparse_mul(x.terms, y.terms, params) == expected
+
+
+def test_boundary_merges_cascade_to_identity():
+    # At r = (3, 5): a1 a2 x a2^4 a1^2 = e, the two boundary merges vanish
+    # one after the other.
+    a1, a2 = Syllable(1, 1, 0), Syllable(2, 1, 0)
+    left = GroupElement((a1, a2))
+    right = GroupElement((Syllable(2, 4, 0), Syllable(1, 2, 0)))
+    assert _sparse_mul({left: 3}, {right: -2}, P3) == {IDENTITY: -6}
+    x = group_term(left, 3) + one()
+    y = group_term(right, -2) + torsion_term(2, 1, P3)
+    expected = reference_mul(x.terms, y.terms, P3)
+    assert expected[IDENTITY] == -6
+    assert ring_mul(x, y, P3).terms == expected
+
+
+def test_cancelled_key_is_dropped():
+    # (e - a1)(a1 a2 + a2): the two products a1 a2 cancel, a concatenation
+    # against a merge, and no zero coefficient is left behind.
+    a1 = torsion_power(1, 1, P3)
+    a2 = torsion_power(2, 1, P3)
+    x = one() - group_term(a1)
+    y = group_term(gmul(a1, a2, P3)) + group_term(a2)
+    a1sq_a2 = gmul(torsion_power(1, 2, P3), a2, P3)
+    assert _sparse_mul(x.terms, y.terms, P3) == {a2: 1, a1sq_a2: -1}
 
 
 @settings(max_examples=100, deadline=None)
