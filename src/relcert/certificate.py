@@ -25,7 +25,6 @@ from .foxcomplex import (
     apply,
     c1_labels,
     c2_labels,
-    compose,
     d1_vector,
     d2_matrix,
 )
@@ -248,32 +247,60 @@ NOT_REDUCED = "operation trace does not reduce to a basis permutation"
 NOT_INVERSE = "basis matrix and its claimed inverse do not cancel"
 
 
+def column_replay(
+    ops: tuple[AddRightMultiple, ...],
+    matrix: RingMatrix,
+    positions: list[int],
+    params: PresentationParams,
+) -> RingMatrix:
+    """compose(M Pi^-1, replay(ops, identity)) without a matrix product,
+    where row r of the permutation Pi is the unit vector at positions[r].
+
+    replay(ops, I) is E_m ... E_1 for the ops' elementary matrices, so the
+    product is M Pi^-1 E_m ... E_1: start from M with column k replaced by
+    column positions[k], then run the ops backwards as column operations,
+    column src += coeff * column dst (coeff multiplying on the left)."""
+    cols = [[row.entries[j] for row in matrix.rows] for j in positions]
+    for op in reversed(ops):
+        cols[op.src] = [
+            s + ring_mul(op.coeff, d, params) if d.terms else s
+            for s, d in zip(cols[op.src], cols[op.dst])
+        ]
+    return RingMatrix(tuple(RingVector(entries) for entries in zip(*cols)))
+
+
 def _check_basis(cert: Certificate) -> tuple[RingMatrix, RingMatrix | None, bool]:
     """The basis matrix P, the inverse Q read off the trace (None when the
     trace does not reach a permutation of the standard basis), and whether
-    compose(P, Q) = compose(Q, P) = identity."""
+    P Q = identity.
+
+    Once the trace sends P to a row permutation Pi of the identity, P Q = I
+    follows by algebra: every op has src != dst, so its elementary matrix
+    is invertible, E = E_m ... E_1 is invertible, and E P = Pi makes
+    Q = Pi^-1 E a two-sided inverse.  Q P is the reduced matrix with its
+    rows permuted back, so it needs no check.  P Q is still computed, as
+    (P Pi^-1) E_m ... E_1 by column_replay: a recheck of the arithmetic in
+    the other association order."""
     params = cert.params
     p = basis_matrix(cert)
     positions = permutation_of_identity(replay(cert.basis_ops, p, params))
     if positions is None:
         return p, None, False
-    # The trace sends P to a row permutation Pi of the identity, so
-    # "Pi^-1 first, then the trace on the identity" inverts P.
     trace = replay(cert.basis_ops, RingMatrix.identity(p.nrows), params)
     inverse_rows = [None] * p.nrows
     for row_index, position in enumerate(positions):
         inverse_rows[position] = trace.rows[row_index]
     q = RingMatrix(tuple(inverse_rows))
-    ident = RingMatrix.identity(p.nrows)
-    return p, q, compose(p, q, params) == ident and compose(q, p, params) == ident
+    product = column_replay(cert.basis_ops, p, positions, params)
+    return p, q, product == RingMatrix.identity(p.nrows)
 
 
 def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRightMultiple, ...]]:
     """The basis matrix P, its explicit two-sided inverse Q, and the trace.
 
     Verifies that the trace reduces P to a permutation of the standard
-    basis and that compose(P, Q) = compose(Q, P) = identity; any failure
-    is a hard fault."""
+    basis and that P Q = identity (see _check_basis); any failure is a
+    hard fault."""
     if cert.params.n < 2:
         raise ParameterError("basis change requires n >= 2")
     p, q, inverts = _check_basis(cert)
@@ -655,44 +682,3 @@ def chain_export_to_json(export: ChainExport) -> dict:
         "Q": _matrix_texts(export.q) if export.q is not None else None,
     }
     return obj
-
-
-def chain_export_from_json(obj: dict) -> ChainExport:
-    """Inverse of chain_export_to_json (labels are regenerated, not read)."""
-    params = _params_from_json(obj)
-    n = params.n
-    version = obj.get("version")
-    _require(_is_int(version) and version == CERTIFICATE_VERSION, "unsupported version")
-
-    def vector(raw, width: int, where: str) -> RingVector:
-        _require(
-            isinstance(raw, list) and len(raw) == width,
-            f"{where}: expected {width} ring-element strings",
-        )
-        return RingVector(
-            tuple(
-                _parse_ring_field(raw[j], params, f"{where}[{j}]") for j in range(width)
-            )
-        )
-
-    def matrix(raw, nrows: int, width: int, where: str) -> RingMatrix:
-        _require(
-            isinstance(raw, list) and len(raw) == nrows,
-            f"{where}: expected {nrows} rows",
-        )
-        return RingMatrix(
-            tuple(vector(raw[i], width, f"{where}[{i}]") for i in range(nrows))
-        )
-
-    d1 = vector(obj.get("d1"), 2 * n, "d1")
-    d2 = matrix(obj.get("d2"), 2 * n, 2 * n, "d2")
-    d3 = tuple(vector(row, 2 * n, f"d3[{i}]") for i, row in enumerate(obj.get("d3") or []))
-    _require(len(d3) == n - 1, f"d3 must have {n - 1} rows")
-    raw_p, raw_q = obj.get("P"), obj.get("Q")
-    if n >= 2:
-        p = matrix(raw_p, 2 * n, 2 * n, "P")
-        q = matrix(raw_q, 2 * n, 2 * n, "Q")
-    else:
-        _require(raw_p is None and raw_q is None, "P and Q must be null when n = 1")
-        p = q = None
-    return ChainExport(params, d1, d2, d3, p, q)

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relcert import certificate
+from relcert import certificate, cli
 from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams
 from relcert.foxcomplex import RingMatrix, RingVector, apply, compose, d2_matrix
@@ -12,22 +15,24 @@ from relcert.groupring import one, parse_ring, ring_to_text, zero
 from relcert.relmodule import commutator_image, module_generator, power_image, reduction_multiplier
 from relcert.certificate import (
     AddRightMultiple,
+    ChainExport,
     basis_change,
     basis_matrix,
     build_certificate,
     build_chain_export,
     certificate_bytes,
     certificate_from_json,
-    chain_export_from_json,
     chain_export_to_json,
     check_certificate,
     check_certificate_json,
+    column_replay,
     crt_coefficients,
     euler_characteristic,
     permutation_of_identity,
     replay,
     splitting_report,
 )
+from test_groupring import random_ring, syllable_elements
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
@@ -155,6 +160,71 @@ def test_replay_and_inverted_ops():
     forward = replay(cert.basis_ops, m, p)
     undo = tuple(op.inverted() for op in reversed(cert.basis_ops))
     assert replay(undo, forward, p) == m
+
+
+def _permuted_columns(m, positions):
+    """M Pi^-1: column k of the result is column positions[k] of M."""
+    return RingMatrix(tuple(RingVector(tuple(row[j] for j in positions)) for row in m.rows))
+
+
+@st.composite
+def column_replay_cases(draw, params=P235):
+    """A square matrix over Z[G], a permutation of its columns and a trace
+    of ops with src != dst, all over G = C2 x Z * C3 x Z * C5 x Z."""
+    size = draw(st.integers(2, 4))
+    element = st.one_of(st.just(zero()), syllable_elements(params, max_terms=4))
+    m = RingMatrix(tuple(
+        RingVector(tuple(draw(element) for _ in range(size))) for _ in range(size)
+    ))
+    positions = draw(st.permutations(range(size)))
+    rows = st.integers(0, size - 1)
+    pairs = st.tuples(rows, rows).filter(lambda pair: pair[0] != pair[1])
+    ops = draw(st.lists(
+        st.builds(lambda pair, c: AddRightMultiple(pair[0], pair[1], c), pairs, element),
+        max_size=8,
+    ))
+    return m, positions, tuple(ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_replay_cases())
+def test_column_replay_matches_compose(case):
+    m, positions, ops = case
+    trace = replay(ops, RingMatrix.identity(m.nrows), P235)
+    expected = compose(_permuted_columns(m, positions), trace, P235)
+    assert column_replay(ops, m, positions, P235) == expected
+
+
+def _with_cancelling_pairs(ops, rng, params, pairs=6):
+    """The trace with (op, op.inverted()) inserted at random positions: the
+    same product of elementary matrices, reached by a longer path."""
+    ops = list(ops)
+    size = 2 * params.n
+    for _ in range(pairs):
+        src, dst = rng.sample(range(size), 2)
+        op = AddRightMultiple(src, dst, random_ring(rng, params, max_support=4))
+        at = rng.randint(0, len(ops))
+        ops[at:at] = [op, op.inverted()]
+    return tuple(ops)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [(2, 3), (2, 3, 5), (3, 4, 5), (5, 7, 9, 11, 13), (2, 3, 5, 7, 11, 13, 17, 19)],
+    ids=lambda orders: ",".join(map(str, orders)),
+)
+def test_column_replay_matches_compose_on_tampered_traces(orders):
+    params = PresentationParams(orders)
+    cert = build_certificate(params)
+    tampered = _with_cancelling_pairs(cert.basis_ops, random.Random(sum(orders)), params)
+    p, q = check_certificate(cert).basis
+    expected = compose(p, q, params)
+    assert expected == RingMatrix.identity(2 * params.n)
+    report = check_certificate(dataclasses.replace(cert, basis_ops=tampered))
+    assert report.accepted and report.basis == (p, q)
+    for ops in (cert.basis_ops, tampered):
+        positions = permutation_of_identity(replay(ops, p, params))
+        assert column_replay(ops, p, positions, params) == expected
 
 
 def test_splitting_report():
@@ -302,6 +372,50 @@ def test_mutation_sensitivity_sample():
         assert report.failures
 
 
+def _swap_dependent_ops(obj):
+    # Two adjacent ops where one writes the row the other reads: swapping
+    # them changes the product of their elementary matrices.
+    ops = obj["basis_ops"]
+    k = next(k for k, (a, b) in enumerate(zip(ops, ops[1:]))
+             if a["dst"] == b["src"] or a["src"] == b["dst"])
+    ops[k], ops[k + 1] = ops[k + 1], ops[k]
+
+
+def _swap_lambda_columns(obj):
+    for row in obj["lambda"]:
+        row[0], row[1] = row[1], row[0]
+
+
+STRUCTURAL_MUTANTS = {
+    "drop-first-op": (lambda obj: obj["basis_ops"].pop(0), "basis reduction, basis inverse"),
+    "drop-last-op": (lambda obj: obj["basis_ops"].pop(), "basis reduction, basis inverse"),
+    "swap-ops": (_swap_dependent_ops, "basis reduction, basis inverse"),
+    "swap-lambda-columns": (_swap_lambda_columns, "D_1 reconstruction, D_2 reconstruction"),
+    "drop-alpha-row": (lambda obj: obj["alpha"].pop(), None),
+    "truncate-alpha-row": (lambda obj: obj["alpha"][0].pop(), None),
+}
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (3, 4, 5)], ids=["2,3", "3,4,5"])
+@pytest.mark.parametrize("mutant", sorted(STRUCTURAL_MUTANTS))
+def test_check_cert_structural_mutants(mutant, orders, tmp_path, capsys):
+    """Each structural mutant is rejected naming the identities it breaks
+    (exit 1) or is a parse error (exit 2); never accepted, never a traceback."""
+    edit, failures = STRUCTURAL_MUTANTS[mutant]
+    obj = json.loads(certificate_bytes(build_certificate(PresentationParams(orders))))
+    edit(obj)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    code = cli.main(["check-cert", str(path)])
+    out, err = capsys.readouterr()
+    if failures is None:
+        assert code == 2
+        assert "error: field 'alpha' must be a" in err
+    else:
+        assert code == 1
+        assert out.splitlines()[-1] == f"certificate rejected: {failures}"
+
+
 def mutate_one_coefficient(obj, rng, params):
     """Perturb one coefficient somewhere in the certificate by +1."""
     sites = ["t", "s", "lambda", "mu", "alpha", "basis_ops"]
@@ -344,6 +458,23 @@ def test_ops_validation():
     bad = (AddRightMultiple(0, 9, one()),)
     with pytest.raises(ParameterError):
         replay(bad, basis_matrix(cert), P23)
+
+
+def chain_export_from_json(obj: dict) -> ChainExport:
+    """Inverse of chain_export_to_json on its own output (labels are
+    regenerated, not read)."""
+    params = PresentationParams(tuple(obj["r"]))
+
+    def vector(raw) -> RingVector:
+        return RingVector(tuple(parse_ring(text, params) for text in raw))
+
+    def matrix(raw) -> RingMatrix | None:
+        return None if raw is None else RingMatrix(tuple(vector(row) for row in raw))
+
+    return ChainExport(
+        params, vector(obj["d1"]), matrix(obj["d2"]),
+        tuple(vector(row) for row in obj["d3"]), matrix(obj["P"]), matrix(obj["Q"]),
+    )
 
 
 def test_chain_export_round_trip():
