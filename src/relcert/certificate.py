@@ -465,7 +465,8 @@ def check_certificate(cert: Certificate) -> CheckReport:
         )
         if q is not None:
             basis = (p, q)
-            items.append(CheckItem("basis inverse", inverts, "P Q = Q P = identity"))
+            detail = "P Q = identity; Q P follows from basis reduction"
+            items.append(CheckItem("basis inverse", inverts, detail))
         else:
             items.append(CheckItem("basis inverse", False, "no permutation to invert"))
     return CheckReport(all(item.passed for item in items), tuple(items), basis, relations.d2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError, ParseError, VerificationError
 from .freewords import PresentationParams, parse_word, random_word, verify_free_identities
-from .foxcomplex import d1_contract, d2_matrix, fundamental_identity_holds
+from .foxcomplex import d1_contract, d1_vector, d2_matrix, fundamental_identity_holds
 from .groupring import check_cyclic_identities
 from .normalform import element_to_text, project
 from .relmodule import check_module_identities, check_reduction
@@ -111,12 +111,13 @@ def run_verification(
         report, certificate_group = None, _group(name, False, (str(exc),))
     d2 = report.d2 if report is not None and report.d2 is not None else d2_matrix(params)
 
-    ok = all(d1_contract(row, params).is_zero for row in d2.rows)
+    d1 = d1_vector(params)
+    ok = all(d1_contract(d1, row, params).is_zero for row in d2.rows)
     groups.append(_group("chain condition d1 after d2 = 0", ok))
 
     rng = random.Random(seed)
     ok = all(
-        fundamental_identity_holds(random_word(rng, n), params) for _ in range(sample)
+        fundamental_identity_holds(random_word(rng, n), d1, params) for _ in range(sample)
     )
     groups.append(_group(f"fundamental derivative identity ({sample} sampled words)", ok))
 

@@ -18,6 +18,10 @@ identity, and star moves the left factor g^-1 to a right factor g.  Right
 multiplying a starred row therefore realizes conjugation of the underlying
 relator.  The edge boundary entries are starred the same way (x^-1 - 1),
 so the chain condition holds verbatim.
+
+A starred row comes from one prefix walk over the word (the product rule
+fills all 2n columns at once, see starred_fox_row).  fox_derivative walks
+the word once per generator and is kept as the reference for each column.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .freewords import (
     generators,
     power_relator,
 )
-from .groupring import RingElement, accumulate, from_terms, group_term, one, ring_mul, star, zero
-from .normalform import IDENTITY, GroupElement, ginv, gmul, project, torsion_power, free_power
+from .groupring import RingElement, accumulate, from_terms, group_term, one, ring_mul, zero
+from .normalform import IDENTITY, GroupElement, Syllable, ginv, gmul, project, torsion_power, free_power
 
 
 class RingVector:
@@ -174,12 +178,42 @@ def fox_derivative(w: FreeWord, gen: Generator, params: PresentationParams) -> R
 
 
 def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
-    """Width-2n vector of starred Fox derivatives over columns a1, b1, ..., an, bn."""
-    return RingVector(
-        tuple(
-            star(fox_derivative(w, g, params), params) for g in generators(params.n)
+    """Width-2n vector of starred Fox derivatives over columns a1, b1, ..., an, bn.
+
+    One walk over w fills every column by the product rule
+    d(uv)/dx = du/dx + u dv/dx: the letter g^e read after the prefix u adds
+    u g^j (exponents j and sign c as in fox_derivative) to column g.  Starred,
+    u g^j is g^-j inv with inv = u^-1, so each term is inv with one syllable
+    of g's factor merged in at the left.  fox_derivative is the per-generator
+    reference for these columns."""
+    cols: list[dict[GroupElement, int]] = [{} for _ in range(2 * params.n)]
+    inv: tuple[Syllable, ...] = ()
+    for g, e in w.letters:
+        i = g.index
+        params.check_index(i)
+        r = params.r[i - 1]
+        torsion = g.kind == KIND_TORSION
+        # inv is reduced and alternates factors, so g^-j meets its first
+        # syllable at most and a vanishing merge cascades no further.
+        if inv and inv[0].factor == i:
+            _, k0, m0 = inv[0]
+            rest = inv[1:]
+        else:
+            k0 = m0 = 0
+            rest = inv
+
+        def left(j: int) -> tuple[Syllable, ...]:
+            """The syllables of g^-j inv."""
+            k, m = ((k0 - j) % r, m0) if torsion else (k0, m0 - j)
+            return (Syllable(i, k, m),) + rest if k or m else rest
+
+        exponents, c = (range(e), 1) if e > 0 else (range(-1, e - 1, -1), -1)
+        accumulate(
+            cols[2 * i - 2 + (not torsion)],
+            ((GroupElement(left(j)), c) for j in exponents),
         )
-    )
+        inv = left(e)
+    return RingVector(tuple(RingElement(col) for col in cols))
 
 
 def d2_matrix(params: PresentationParams) -> RingMatrix:
@@ -199,9 +233,9 @@ def d1_vector(params: PresentationParams) -> RingVector:
     return RingVector(tuple(entries))
 
 
-def d1_contract(v: RingVector, params: PresentationParams) -> RingElement:
-    """First boundary applied to a C1 coordinate vector: sum_x (x^-1 - 1) * v_x."""
-    d1 = d1_vector(params)
+def d1_contract(d1: RingVector, v: RingVector, params: PresentationParams) -> RingElement:
+    """First boundary d1 = d1_vector(params) applied to a C1 coordinate
+    vector: sum_x (x^-1 - 1) * v_x."""
     if v.width != d1.width:
         raise ParameterError(f"vector width {v.width} != 2n = {d1.width}")
     acc: dict[GroupElement, int] = {}
@@ -211,10 +245,10 @@ def d1_contract(v: RingVector, params: PresentationParams) -> RingElement:
     return RingElement(acc)
 
 
-def fundamental_identity_holds(w: FreeWord, params: PresentationParams) -> bool:
-    """Starred form of the fundamental Fox identity:
+def fundamental_identity_holds(w: FreeWord, d1: RingVector, params: PresentationParams) -> bool:
+    """Starred form of the fundamental Fox identity, with d1 = d1_vector(params):
     sum_x (x^-1 - 1) * star(dw/dx) = star(pi(w)) - 1."""
-    lhs = d1_contract(starred_fox_row(w, params), params)
+    lhs = d1_contract(d1, starred_fox_row(w, params), params)
     rhs = group_term(ginv(project(w, params), params)) - one()
     return lhs == rhs
 

@@ -20,6 +20,7 @@ from relcert.foxcomplex import (
     apply,
     compose,
     d1_contract,
+    d1_vector,
     d2_matrix,
     fundamental_identity_holds,
     starred_fox_row,
@@ -87,15 +88,16 @@ def test_criterion_2_chain_conditions():
     def body():
         for family in FAMILIES:
             params = PresentationParams(family)
-            d2 = d2_matrix(params)
+            d1, d2 = d1_vector(params), d2_matrix(params)
             assert d2.nrows == 2 * params.n
             for row in d2.rows:
-                assert d1_contract(row, params).is_zero
+                assert d1_contract(d1, row, params).is_zero
         params = PresentationParams((2, 3, 5))
+        d1 = d1_vector(params)
         rng = random.Random(0)
         for _ in range(1000):
             word = random_word(rng, params.n, max_len=20)
-            assert fundamental_identity_holds(word, params)
+            assert fundamental_identity_holds(word, d1, params)
 
     _report("2 chain conditions", body)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relcert import certificate, cli
+from relcert import certificate, cli, foxcomplex
 from relcert.cli import main, run_verification
 from relcert.freewords import PresentationParams
 from relcert.groupring import one
@@ -204,6 +204,21 @@ def test_verify_reconstructs_each_family_once(monkeypatch):
     params = PresentationParams((2, 3, 5))
     assert all(g.status == "pass" for g in run_verification(params, sample=5))
     assert len(calls) == 2 * params.n  # D_i and E_i, each once
+
+
+def test_verify_builds_d1_once(monkeypatch):
+    calls = []
+    d1_vector = foxcomplex.d1_vector
+
+    def counting(*args):
+        calls.append(1)
+        return d1_vector(*args)
+
+    # cli binds the name on import; d1_contract would look it up in foxcomplex.
+    monkeypatch.setattr(cli, "d1_vector", counting, raising=False)
+    monkeypatch.setattr(foxcomplex, "d1_vector", counting)
+    assert all(g.status == "pass" for g in run_verification(PresentationParams((2, 3, 5))))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["certificate", "complex"])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcert.errors import ParameterError
 from relcert.freewords import (
@@ -10,6 +12,8 @@ from relcert.freewords import (
     agen,
     bgen,
     commutator_relator,
+    conjugate_power_product,
+    generators,
     power_relator,
     random_word,
 )
@@ -33,6 +37,7 @@ from relcert.groupring import (
     norm_element,
     one,
     ring_mul,
+    star,
     torsion_term,
     zero,
 )
@@ -76,6 +81,51 @@ def test_fox_product_rule_random():
         assert left == right
 
 
+@st.composite
+def fox_words(draw):
+    """(params, word): a reduced random word with exponents up to +-2 r_i,
+    or the empty word, or a relator word of one factor."""
+    params = draw(st.sampled_from([P235, PresentationParams((3, 4, 5))]))
+    i = draw(st.integers(1, params.n))
+    fixed = [
+        EMPTY_WORD,
+        commutator_relator(i),
+        power_relator(i, params),
+        power_relator(i, params).inverse(),
+        conjugate_power_product(i, params),
+    ]
+    letter = st.integers(1, params.n).flatmap(
+        lambda j: st.tuples(
+            st.sampled_from([agen(j), bgen(j)]),
+            st.integers(-2 * params.r[j - 1], 2 * params.r[j - 1]),
+        )
+    )
+    raw = st.lists(letter, max_size=12).map(FreeWord.from_letters)
+    return params, draw(st.one_of(st.sampled_from(fixed), raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fox_words())
+def test_starred_fox_row_matches_fox_derivative(case):
+    params, w = case
+    row = starred_fox_row(w, params)
+    assert row.width == 2 * params.n
+    for col, x in enumerate(generators(params.n)):
+        assert row[col] == star(fox_derivative(w, x, params), params)
+
+
+@pytest.mark.parametrize("index", [0, 4])
+def test_fox_row_rejects_generator_index(index):
+    # FreeWord(...) is trusted and skips from_letters' index check.
+    d1 = d1_vector(P235)
+    for kind in (agen, bgen):
+        w = FreeWord(((agen(1), 2), (kind(index), 1)))
+        with pytest.raises(ParameterError, match="out of range"):
+            starred_fox_row(w, P235)
+        with pytest.raises(ParameterError, match="out of range"):
+            fundamental_identity_holds(w, d1, P235)
+
+
 def test_d2_entries():
     d2 = d2_matrix(P23)
     assert d2.nrows == 4 and d2.ncols == 4
@@ -99,25 +149,27 @@ def test_d1_entries():
 
 def test_chain_condition():
     for p in (P23, P235, PresentationParams((7,))):
-        d2 = d2_matrix(p)
+        d1, d2 = d1_vector(p), d2_matrix(p)
         for row in d2.rows:
-            assert d1_contract(row, p).is_zero
+            assert d1_contract(d1, row, p).is_zero
 
 
 def test_fundamental_identity_random():
     rng = random.Random(43)
+    d1 = d1_vector(P235)
     for _ in range(300):
         w = random_word(rng, 3)
-        assert fundamental_identity_holds(w, P235)
+        assert fundamental_identity_holds(w, d1, P235)
 
 
 def test_fundamental_identity_on_relators():
     # for relators the right-hand side is zero
+    d1 = d1_vector(P235)
     for i in range(1, 4):
         row = starred_fox_row(commutator_relator(i), P235)
-        assert d1_contract(row, P235).is_zero
+        assert d1_contract(d1, row, P235).is_zero
         row = starred_fox_row(power_relator(i, P235), P235)
-        assert d1_contract(row, P235).is_zero
+        assert d1_contract(d1, row, P235).is_zero
 
 
 def test_apply():
