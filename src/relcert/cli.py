@@ -230,6 +230,8 @@ def cmd_check_cert(path: str) -> int:
     for item in report.items:
         tag = "PASS" if item.passed else "FAIL"
         print(f"  {tag}  {item.name}")
+        if item.detail:
+            print(f"        - {item.detail}")
     if report.accepted:
         print(f"certificate accepted ({len(report.items)} checks)")
         return 0

@@ -6,20 +6,23 @@ Coefficients are arbitrary-precision: the Chinese-remainder data downstream
 reaches the product of all r_j^2, which overflows fixed width quickly.
 
 Multiplication takes one of two exact paths and both give the same dict.
-When both operands lie in one factor's commutative subring
-Z[C_r x Z] = Z[x, y^-1, y]/(x^r - 1), every key being the identity or a
-single syllable of that factor, ring_mul packs each operand into one
-integer by Kronecker substitution, lets CPython's big-integer product do the
-whole convolution and folds x^r = 1 while unpacking.  Every other product,
-and any one-factor shape too sparse for packing to pay, runs the sparse
-convolution, which joins each pair of keys at their boundary syllables
-(_sparse_mul).  The choice depends on the operands' shape alone
-(_packed_factor).
+When one operand x lies in one factor f's commutative subring
+Z[C_r x Z] = Z[a, b^-1, b]/(a^r - 1), every key being the identity or a
+single syllable of f, ring_mul splits the other operand at its boundary
+syllable: y = sum_s v_s s over the reduced suffixes s that do not start in
+f, each v_s in f's subring (for y x, prefixes that do not end in f).  Then
+x y = sum_s (x v_s) s, and keys of different groups never meet.  Each x v_s
+is a product inside one factor's subring on plain integer cells: by
+Kronecker substitution, one big-integer product folded by a^r = 1 while
+unpacking, when the operands' shape says it pays (_packs), and by a cell
+convolution otherwise.  A product of two elements of one subring is the
+case of a single group with suffix ().  Only a product in which neither
+operand lies in one factor's subring runs the sparse convolution, which
+joins each pair of keys at their boundary syllables (_sparse_mul).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from operator import add
@@ -138,17 +141,22 @@ def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> Ring
         g, c = next(iter(xt.items()))
         if g.is_identity:
             return c * y
-    factor = _packed_factor(xt, yt, params)
-    if factor:
-        return RingElement(_packed_mul(xt, yt, factor, params.r[factor - 1]))
+    local = _factor_cells(xt, params)
+    if local is not None:
+        return RingElement(_split_mul(*local, yt, True, params))
+    local = _factor_cells(yt, params)
+    if local is not None:
+        return RingElement(_split_mul(*local, xt, False, params))
     return RingElement(_sparse_mul(xt, yt, params))
 
 
 def _sparse_mul(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
-    """The pairwise convolution for every product the packed path declines.
-    In g * h only the last syllable of g and the first of h can meet; only
-    when their merge vanishes does gmul cascade further.  Sums are keyed by
-    plain syllable tuples, hashed in C, and wrapped once at the end."""
+    """The pairwise convolution, for products in which neither operand lies
+    in one factor's subring (ring_mul takes every other product group by
+    group).  In g * h only the last syllable of g and the first of h can
+    meet; only when their merge vanishes does gmul cascade further.  Sums
+    are keyed by plain syllable tuples, hashed in C, and wrapped once at
+    the end."""
     r = params.r
     right = []  # (syllables, first factor or 0, head syllable, suffix, coefficient)
     for h, ch in yt.items():
@@ -182,111 +190,164 @@ def _sparse_mul(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
     return {GroupElement(key): c for key, c in out.items() if c}
 
 
-def _factor_span(terms, params: PresentationParams):
-    """(factor, lowest m, highest m) when every key is the identity or one
-    syllable a_f^k b_f^m of a single factor f in normal form (0 <= k < r_f,
-    not both zero); None otherwise.  Factor 0 means only the identity."""
+def _factor_cells(terms, params: PresentationParams):
+    """(f, {m * 2 r_f + k: coefficient}) when every key is the identity or
+    one syllable a_f^k b_f^m of a single factor f in normal form
+    (1 <= f <= n, 0 <= k < r_f, not both zero) and some key is not the
+    identity; None otherwise.
+
+    The cell m * 2r + k of a term a^k b^m is its slot in a layout with 2r
+    slots per free exponent: cells of a product add, and cell s with
+    s mod 2r >= r folds onto s - r, applying a^r = 1."""
     r = params.r
-    factor = rf = 0
-    lo, hi = math.inf, -math.inf
-    for g in terms:
+    factor = rf = stride = 0
+    cells: dict[int, int] = {}
+    for g, c in terms.items():
         syllables = g.syllables
         if not syllables:
-            m = 0
-        elif len(syllables) > 1:
+            cells[0] = c
+            continue
+        if len(syllables) > 1:
             return None
-        else:
-            f, k, m = syllables[0]
-            if f != factor:
-                if factor or not 1 <= f <= len(r):
-                    return None
-                factor, rf = f, r[f - 1]
-            if not (0 <= k < rf and (k or m)):
+        f, k, m = syllables[0]
+        if f != factor:
+            if factor or not 1 <= f <= len(r):
                 return None
-        if m < lo:
-            lo = m
-        if m > hi:
-            hi = m
-    return factor, lo, hi
+            factor, rf = f, r[f - 1]
+            stride = 2 * rf
+        if not (0 <= k < rf and (k or m)):
+            return None
+        cells[m * stride + k] = c
+    return (factor, cells) if factor else None
 
 
-def _packed_factor(xt, yt, params: PresentationParams) -> int:
-    """The dispatch rule of ring_mul, a function of the operands' shape only:
-    the factor whose subring holds both operands when the packed product is
-    estimated to cost less than the pairwise convolution, else 0.
+def _split_mul(factor: int, cells, other, left: bool, params: PresentationParams):
+    """x * other (left) or other * x (not left) for x = cells of factor f's
+    subring (_factor_cells), the product grouped by boundary syllable.
 
-    In units of one convolution pair (a gmul and a dict update), packing
-    costs a step per term, folding a step per slot of the folded product
-    (r_f per free exponent), and the big-integer product of n-digit
-    operands about n^1.585 / _PAIR_DIGIT_STEPS (Karatsuba)."""
-    sx = _factor_span(xt, params)
-    if sx is None:
-        return 0
-    sy = _factor_span(yt, params)
-    if sy is None or sx[0] != sy[0] or not sx[0]:
-        return 0
-    factor = sx[0]
+    Each key h of `other` splits as s_h h' (left) or h' s_h (not left), s_h
+    being h's first (last) syllable when it lies in f and the identity
+    otherwise.  Then x * other = sum over h' of (x v_h') h', where v_h' sums
+    c_h s_h over the keys with rest h' and lies in f's subring, like x.
+    Since h' does not start (end) in f, each product key is a syllable of f
+    joined to h', and keys from different groups never meet."""
     r = params.r[factor - 1]
-    slots = ((sx[2] - sx[1]) + (sy[2] - sy[1]) + 1) * r
-    digits = slots * 8 * _slot_width(xt, yt) // sys.int_info.bits_per_digit
-    steps = len(xt) + len(yt) + slots + digits**1.585 / _PAIR_DIGIT_STEPS
-    return factor if steps < len(xt) * len(yt) else 0
+    stride = 2 * r
+    edge = 0 if left else -1
+    groups: dict[tuple[Syllable, ...], dict[int, int]] = {}
+    for h, c in other.items():
+        check_reduced(h, params)
+        hs = h.syllables
+        if hs and hs[edge][0] == factor:
+            _, k, m = hs[edge]
+            cell = m * stride + k
+            rest = hs[1:] if left else hs[:-1]
+        else:
+            cell, rest = 0, hs
+        group = groups.get(rest)
+        if group is None:
+            groups[rest] = {cell: c}
+        else:
+            group[cell] = c
+    out: dict[GroupElement, int] = {}
+    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
+    for rest, group in groups.items():
+        # x v_rest, folded by a^r = 1; cancelled cells may stay, at 0.
+        if _packs(cells, group, r):
+            prod = _kronecker_mul(cells, group, r)
+        else:
+            prod = _cell_mul(cells, group, r)
+        for cell, c in prod.items():
+            if not c:
+                continue
+            if cell:
+                m, k = divmod(cell, stride)
+                syllable = (new_syllable(Syllable, (factor, k, m)),)
+                out[GroupElement(syllable + rest if left else rest + syllable)] = c
+            else:
+                out[GroupElement(rest)] = c
+    return out
+
+
+def _cell_mul(xc, yc, r: int) -> dict[int, int]:
+    """x * y on the cells of one factor's subring Z[a, b^-1, b]/(a^r - 1)
+    by pairwise convolution, folding each product cell by a^r = 1 as it
+    goes; cancelled cells stay, with coefficient 0."""
+    stride = 2 * r
+    prod: dict[int, int] = {}
+    get = prod.get
+    for b, cb in yc.items():
+        for a, ca in xc.items():
+            s = a + b
+            if s % stride >= r:
+                s -= r
+            prod[s] = get(s, 0) + ca * cb
+    return prod
+
+
+def _packs(xc, yc, r: int) -> bool:
+    """Whether _kronecker_mul is estimated to cost less than _cell_mul for
+    x * y, a function of the operands' shape only.
+
+    In units of one convolution pair, packing costs a step per term,
+    folding a step per slot of the folded product (r per free exponent),
+    and the big-integer product of n-digit operands about
+    n^1.585 / _PAIR_DIGIT_STEPS (Karatsuba)."""
+    nx, ny = len(xc), len(yc)
+    if nx * ny <= nx + ny + r:  # fewer pairs than a single row of slots
+        return False
+    stride = 2 * r
+    rows = max(xc) // stride - min(xc) // stride + max(yc) // stride - min(yc) // stride + 1
+    slots = rows * r
+    digits = slots * 8 * _slot_width(xc, yc) // sys.int_info.bits_per_digit
+    return nx + ny + slots + digits**1.585 / _PAIR_DIGIT_STEPS < nx * ny
 
 
 # One convolution pair takes about as long as this many digit steps of
-# CPython's Karatsuba product (CPython 3.11 on an Intel Xeon: ~3.5 us per
-# pair, ~10 ns per digit step).
+# CPython's Karatsuba product.  Calibrated against the sparse convolution's
+# pair (CPython 3.11 on an Intel Xeon: ~3.5 us per pair, ~10 ns per digit
+# step).  A cell pair costs less, but constants refitted to it made no
+# difference above the noise on the benchmark workloads' products.
 _PAIR_DIGIT_STEPS = 400
 
 
-def _packed_mul(xt, yt, factor: int, r: int) -> dict[GroupElement, int]:
-    """x * y for x, y in the commutative subring Z[x, y^-1, y]/(x^r - 1) of
-    one factor (a_f -> x, b_f -> y), by Kronecker substitution.
+def _kronecker_mul(xc, yc, r: int) -> dict[int, int]:
+    """x * y on cells by Kronecker substitution (a -> x, b -> y).
 
-    Term c a^k b^m goes to slot (m - m_lo) * 2r + k of one integer, so one
+    Cell m * 2r + k goes to slot (m - m_lo) * 2r + k of one integer, so one
     big-integer product is the whole convolution: a product slot holds the
     coefficient of a^k b^m for k < 2r - 1, and folding slot k + r onto k
     applies a^r = 1."""
     stride = 2 * r
-    cx, x_lo, x_rows = _slot_cells(xt, stride)
-    cy, y_lo, y_rows = _slot_cells(yt, stride)
-    width = _slot_width(xt, yt)
-    rows = x_rows + y_rows - 1
+    x_lo, x_hi = min(xc) // stride, max(xc) // stride
+    y_lo, y_hi = min(yc) // stride, max(yc) // stride
+    width = _slot_width(xc, yc)
+    rows = x_hi - x_lo + y_hi - y_lo + 1
     slots = _unpack(
-        _pack(cx, x_rows * stride, width) * _pack(cy, y_rows * stride, width),
+        _pack(xc, x_lo * stride, (x_hi - x_lo + 1) * stride, width)
+        * _pack(yc, y_lo * stride, (y_hi - y_lo + 1) * stride, width),
         rows * stride,
         width,
     )
-    out: dict[GroupElement, int] = {}
-    for j in range(rows):
-        m = x_lo + y_lo + j
-        base = j * stride
+    out: dict[int, int] = {}
+    origin = (x_lo + y_lo) * stride
+    for base in range(0, rows * stride, stride):
         folded = map(add, slots[base:base + r], slots[base + r:base + stride])
         for k, c in enumerate(folded):
             if c:
-                key = GroupElement((Syllable(factor, k, m),)) if k or m else IDENTITY
-                out[key] = c
+                out[origin + base + k] = c
     return out
 
 
-def _slot_cells(terms, stride: int) -> tuple[dict[int, int], int, int]:
-    """({slot: coefficient}, lowest m, number of m-rows) of a one-factor
-    element laid out with `stride` slots per free exponent m."""
-    km = [(g.syllables[0][1:] if g.syllables else (0, 0), c) for g, c in terms.items()]
-    lo = min(m for (_, m), _ in km)
-    hi = max(m for (_, m), _ in km)
-    return {(m - lo) * stride + k: c for (k, m), c in km}, lo, hi - lo + 1
-
-
-def _slot_width(xt, yt) -> int:
+def _slot_width(xc, yc) -> int:
     """Bytes per signed slot, enough for every slot of the product x * y.
 
     A product slot sums at most min(|x|, |y|) products of coefficients (each
     term of the shorter operand meets at most one term of the other), so
     its absolute value is at most max|x| * max|y| * min(|x|, |y|), and no
     slot carries into the next."""
-    bound = max(map(abs, xt.values())) * max(map(abs, yt.values()))
-    bound *= min(len(xt), len(yt))
+    bound = max(map(abs, xc.values())) * max(map(abs, yc.values()))
+    bound *= min(len(xc), len(yc))
     return (bound.bit_length() + 8) // 8  # bits plus a sign bit, rounded up
 
 
@@ -295,15 +356,15 @@ def _top_bits(nslots: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * nslots, "little")
 
 
-def _pack(cells: dict[int, int], nslots: int, width: int) -> int:
-    """The sum of c * 2^(8 * width * i) over cells {i: c}.
+def _pack(cells, origin: int, nslots: int, width: int) -> int:
+    """The sum of c * 2^(8 * width * (s - origin)) over cells {s: c}.
 
     The slots are first written in two's complement; flipping each slot's top
     bit turns slot value c into c + 2^(8 * width - 1), and subtracting those
     offsets leaves the signed sum."""
     parts = [bytes(width)] * nslots
-    for i, c in cells.items():
-        parts[i] = c.to_bytes(width, "little", signed=True)
+    for s, c in cells.items():
+        parts[s - origin] = c.to_bytes(width, "little", signed=True)
     top = _top_bits(nslots, width)
     return (int.from_bytes(b"".join(parts), "little") ^ top) - top
 

@@ -80,29 +80,36 @@ def project(w: FreeWord, params: PresentationParams) -> GroupElement:
 def gmul(x: GroupElement, y: GroupElement, params: PresentationParams) -> GroupElement:
     """Normal-form product: boundary syllables of equal factor merge
     (k mod r, m additively) and vanishing syllables cascade away.  Trusts x:
-    only y's torsion exponents are range-checked (see check_reduced)."""
+    only y's syllables are range-checked (see check_reduced)."""
     r = params.r
+    n = len(r)
     stack = list(x.syllables)
     for factor, k, m in y.syllables:
-        rf = r[factor - 1]
-        if not 0 <= k < rf:
-            raise ParameterError(
-                f"torsion exponent {k} out of range for r[{factor - 1}]={rf}; "
-                "operands built with different parameters?"
-            )
-        _append_syllable(stack, factor, k, m, rf)
+        if not (0 < factor <= n and 0 <= k < r[factor - 1]):
+            raise _range_error(factor, k, params)
+        _append_syllable(stack, factor, k, m, r[factor - 1])
     return GroupElement(tuple(stack))
 
 
 def check_reduced(x: GroupElement, params: PresentationParams) -> None:
-    """ParameterError unless each torsion exponent of x lies in [0, r_f)."""
+    """ParameterError unless each syllable's factor lies in [1, n] and its
+    torsion exponent in [0, r_factor)."""
+    r = params.r
+    n = len(r)
     for factor, k, _ in x.syllables:
-        rf = params.r[factor - 1]
-        if not 0 <= k < rf:
-            raise ParameterError(
-                f"torsion exponent {k} out of range for r[{factor - 1}]={rf}; "
-                "operand built with different parameters?"
-            )
+        if not (0 < factor <= n and 0 <= k < r[factor - 1]):
+            raise _range_error(factor, k, params)
+
+
+def _range_error(factor: int, k: int, params: PresentationParams) -> ParameterError:
+    """The error for a syllable a_factor^k b_factor^m that no element built
+    with params has."""
+    r = params.r
+    if not 0 < factor <= len(r):
+        problem = f"factor {factor} out of range for n={len(r)}"
+    else:
+        problem = f"torsion exponent {k} out of range for r[{factor - 1}]={r[factor - 1]}"
+    return ParameterError(f"{problem}; operand built with different parameters?")
 
 
 def ginv(x: GroupElement, params: PresentationParams) -> GroupElement:

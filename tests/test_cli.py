@@ -85,6 +85,24 @@ def test_check_cert_rejects_corruption(tmp_path, capsys):
     assert "t congruences" in out
 
 
+def test_check_cert_prints_details(tmp_path, capsys):
+    # Each item is followed by its detail line, as in verify's text report;
+    # the last line still names the failed identities.
+    path = tmp_path / "cert.json"
+    assert main(["certificate", "--r", "2,3", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["t"][0] += 4
+    path.write_text(json.dumps(obj))
+    assert main(["check-cert", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("  FAIL  t congruences")
+    assert lines[at + 1] == "        - t_i = delta_ij mod r_j^2"
+    items = [line for line in lines if line.startswith(("  PASS  ", "  FAIL  "))]
+    details = [line for line in lines if line.startswith("        - ")]
+    assert len(details) == len(items)
+    assert lines[-1] == "certificate rejected: t congruences, s cofactors, t sum"
+
+
 def test_check_cert_io_and_parse_errors(tmp_path, capsys):
     assert main(["check-cert", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -8,8 +8,10 @@ from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams, random_word
 from relcert.groupring import (
     RingElement,
-    _packed_factor,
-    _packed_mul,
+    _cell_mul,
+    _factor_cells,
+    _kronecker_mul,
+    _packs,
     _sparse_mul,
     check_cyclic_identities,
     free_term,
@@ -29,8 +31,10 @@ from relcert.normalform import (
     IDENTITY,
     GroupElement,
     Syllable,
+    canonical_key,
     check_reduced,
     free_power,
+    ginv,
     gmul,
     project,
     torsion_power,
@@ -311,19 +315,40 @@ def test_cancelled_key_is_dropped():
     assert _sparse_mul(x.terms, y.terms, P3) == {a2: 1, a1sq_a2: -1}
 
 
+def cells(x, r):
+    """The cells m * 2r + k of x, an element of one factor's subring laid out
+    for order r (see _factor_cells)."""
+    return {
+        (g.syllables[0].m * 2 * r + g.syllables[0].k if g.syllables else 0): c
+        for g, c in x.terms.items()
+    }
+
+
+def from_cells(cells, factor, r):
+    """The element of factor `factor`'s subring with the given cells, cells
+    with coefficient 0 dropped."""
+    terms = {}
+    for s, c in cells.items():
+        m, k = divmod(s, 2 * r)
+        if c:
+            terms[GroupElement((Syllable(factor, k, m),)) if s else IDENTITY] = c
+    return RingElement(terms)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.integers(1, 1009), st.booleans())
 def test_packed_matches_sparse(data, r, second):
     # r = 1 is not a valid order, but Z[C_1 x Z] = Z[b^-1, b] is the k = 0
-    # part of every factor's subring, so the packed kernel at r = 1 is held
-    # to the sparse kernel at r = 2 on elements without torsion.
+    # part of every factor's subring, so both cell kernels at r = 1 are held
+    # to the reference at r = 2 on elements without torsion.
     params, factor = factor_params(r, second)
     x = data.draw(factor_elements(params, factor, r))
     y = data.draw(factor_elements(params, factor, r))
     expected = sparse(x, y, params)
     assert ring_mul(x, y, params) == expected
     if not x.is_zero and not y.is_zero:
-        assert RingElement(_packed_mul(x.terms, y.terms, factor, r)) == expected
+        for kernel in (_kronecker_mul, _cell_mul):
+            assert from_cells(kernel(cells(x, r), cells(y, r), r), factor, r) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,14 +363,18 @@ def test_packed_exact_cancellation(data, r, second):
     assert sparse(shear, norm, params).is_zero
     assert ring_mul(shear, norm, params).is_zero
     if not shear.is_zero:
-        assert _packed_mul(shear.terms, norm.terms, factor, r) == {}
+        assert _kronecker_mul(cells(shear, r), cells(norm, r), r) == {}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(2, 40), st.booleans())
 def test_mixed_and_identity_operands_take_sparse(data, r, second):
+    # Neither a mixed nor an identity-only operand is taken as the
+    # one-factor side of ring_mul, so neither is ever packed whole.
     params, factor = factor_params(r, second)
-    x = data.draw(factor_elements(params, factor, r))
+    x = data.draw(
+        factor_elements(params, factor, r).filter(lambda e: any(g.syllables for g in e.terms))
+    )
     other = 3 - factor  # the second factor, or factor 2 of a one-factor params
     if params.n == 1:
         params = PresentationParams((r, r + 1))
@@ -356,25 +385,51 @@ def test_mixed_and_identity_operands_take_sparse(data, r, second):
     )
     scalar = data.draw(coefficients.filter(bool)) * one()
     for z in (mixed, two_syllables, scalar):
+        assert _factor_cells(z.terms, params) is None
         for a, b in ((z, x), (x, z)):
-            assert _packed_factor(a.terms, b.terms, params) == 0
             assert ring_mul(a, b, params) == sparse(a, b, params)
 
 
 def test_out_of_range_torsion_exponent_still_raises():
     # N_1 at r = 7 has a1^5 and a1^6, out of range for r = 5.  The shape
-    # alone would pick the packed path; the range check sends it to gmul.
+    # alone would make it the one-factor side; the range check sends it to
+    # the other side, where check_reduced rejects it.
     p5 = PresentationParams((5,))
     foreign = norm_element(1, PresentationParams((7,)))
     norm = norm_element(1, p5)
-    assert _packed_factor(norm.terms, foreign.terms, p5) == 0
-    # gmul checks only its right operand; _sparse_mul checks the left one.
+    assert _factor_cells(foreign.terms, p5) is None
+    # gmul checks only its right operand; ring_mul checks both.
     p3 = PresentationParams((3,))
     stray = one() + torsion_term(1, 5, PresentationParams((7,)))
     for params, x, y in ((p5, norm, foreign), (p3, stray, norm_element(1, p3))):
         for a, b in ((x, y), (y, x)):
             with pytest.raises(ParameterError, match="different parameters"):
                 ring_mul(a, b, params)
+
+
+def test_factor_out_of_range_raises():
+    # A syllable of factor 3 (built at n = 3) or factor 0 (no element has
+    # one) cannot belong to an element at r = (2, 3); neither may index r.
+    p23 = PresentationParams((2, 3))
+    a0 = GroupElement((Syllable(0, 1, 0),))
+    a0a1 = GroupElement((Syllable(0, 1, 0), Syllable(1, 1, 0)))
+    a3 = torsion_power(3, 1, P235)
+    local = torsion_term(1, 1, p23) + torsion_term(2, 1, p23)
+    foreign = (
+        torsion_term(3, 1, P235) + one(),  # one-factor at n = 3
+        torsion_term(1, 1, P235) + torsion_term(3, 2, P235),  # mixed
+        group_term(a0a1),
+        group_term(a0) + free_term(1, 1, p23),
+    )
+    for z in foreign:
+        for a, b in ((z, local), (local, z), (z, z)):
+            with pytest.raises(ParameterError, match="different parameters"):
+                ring_mul(a, b, p23)
+    for g in (a0, a0a1, a3):
+        with pytest.raises(ParameterError, match="different parameters"):
+            ginv(g, p23)
+        with pytest.raises(ParameterError, match="different parameters"):
+            gmul(IDENTITY, g, p23)
 
 
 def test_dispatch_declines_sparse_rows():
@@ -388,9 +443,97 @@ def test_dispatch_declines_sparse_rows():
             for j in range(300)
         )
 
-    assert _packed_factor(rows(337).terms, rows(211).terms, p) == 0
+    assert not _packs(cells(rows(337), 1009), cells(rows(211), 1009), 1009)
     norm, ramp = norm_element(1, p), ramp_element(1, p)
-    assert _packed_factor(norm.terms, ramp.terms, p) == 1
+    assert _packs(cells(norm, 1009), cells(ramp, 1009), 1009)
+
+
+# ---------------------------------------------------------------------------
+# The split path of ring_mul: a one-factor operand against any other.
+
+
+@st.composite
+def split_operands(draw):
+    """(params, x, y): x in factor f's subring at an order up to 1009, with
+    the identity among its keys or not; y a sum of groups v_s s and s' v_s'
+    over words s not starting, s' not ending, in f (the identity among
+    them), each v in f's subring.  One group may be the norm element, which
+    a multiple of (1 - a_f^j) in x annihilates, and each group may hold the
+    inverse of a key of x, so that its product has an identity cell."""
+    r = draw(st.integers(2, 1009))
+    second = draw(st.booleans())
+    params = PresentationParams((r + 1, r) if second else (r, r + 1))
+    f = 2 if second else 1
+    x = draw(factor_elements(params, f, r, max_terms=12, spread=2))
+    if draw(st.booleans()):
+        x = x + draw(coefficients.filter(bool)) * one()
+    annihilate = draw(st.booleans())
+    if annihilate:
+        j = draw(st.integers(1, r - 1))
+        x = sparse(one() - torsion_term(f, j, params), x, params)
+    words = st.lists(
+        st.tuples(st.integers(1, 2), st.integers(0, 2), st.integers(-1, 1)), max_size=4
+    )
+
+    def word(drop_head):
+        g = IDENTITY
+        for i, k, m in draw(words):
+            g = gmul(g, gmul(torsion_power(i, k, params), free_power(i, m, params), params), params)
+        syllables = g.syllables
+        edge = 0 if drop_head else -1
+        if syllables and syllables[edge].factor == f:
+            syllables = syllables[1:] if drop_head else syllables[:-1]
+        return GroupElement(syllables)
+
+    y = {}
+    for group in range(draw(st.integers(1, 5))):
+        if annihilate and group == 0:
+            v = norm_element(f, params)
+        else:
+            v = draw(factor_elements(params, f, r, max_terms=8, spread=2))
+        if x.terms and draw(st.booleans()):
+            g = draw(st.sampled_from(sorted(x.terms, key=canonical_key)))
+            v = v + group_term(ginv(g, params), draw(coefficients.filter(bool)))
+        head = draw(st.booleans())
+        s = {word(head): 1}
+        part = reference_mul(v.terms, s, params) if head else reference_mul(s, v.terms, params)
+        for key, c in part.items():
+            y[key] = y.get(key, 0) + c
+    return params, x, RingElement({g: c for g, c in y.items() if c})
+
+
+@settings(max_examples=120, deadline=None)
+@given(split_operands())
+def test_split_mul_matches_reference(operands):
+    params, x, y = operands
+    assert ring_mul(x, y, params).terms == reference_mul(x.terms, y.terms, params)
+    assert ring_mul(y, x, params).terms == reference_mul(y.terms, x.terms, params)
+
+
+def test_split_group_products_vanish_or_leave_the_suffix():
+    # At r = (5, 3), with suffixes s = a2 b2 and t = a2^2 and u = a1^3 b1^-1:
+    # y = u s + N_1 + (u + N_1) t has the groups {u}, {N_1} and {u, N_1}.
+    # x = 3 a1^2 b1 has x u = 3, so x y holds 3 s, a group product that is
+    # the identity next to its suffix; and (1 - a1) N_1 = 0, so the N_1
+    # parts of y add nothing to (1 - a1) y.  Both orientations.
+    p = PresentationParams((5, 3))
+    x = group_term(gmul(torsion_power(1, 2, p), free_power(1, 1, p), p), 3)
+    shear = one() - torsion_term(1, 1, p)
+    u = group_term(gmul(torsion_power(1, 3, p), free_power(1, -1, p), p))
+    norm = norm_element(1, p)
+    s = gmul(torsion_power(2, 1, p), free_power(2, 1, p), p)
+    t = torsion_power(2, 2, p)
+    for left in (True, False):
+        def ref(a, b):  # a * b from the left, b * a from the right
+            return sparse(a, b, p) if left else sparse(b, a, p)
+
+        def mul(a, b):
+            return ring_mul(a, b, p) if left else ring_mul(b, a, p)
+
+        y = ref(u, group_term(s)) + norm + ref(u + norm, group_term(t))
+        assert mul(x, y) == ref(x, y)
+        assert mul(x, y).terms[s] == 3
+        assert mul(shear, y) == ref(shear, y) == ref(shear, ref(u, group_term(s) + group_term(t)))
 
 
 # ---------------------------------------------------------------------------
