@@ -229,8 +229,9 @@ def _split_mul(factor: int, cells, other, left: bool, params: PresentationParams
     being h's first (last) syllable when it lies in f and the identity
     otherwise.  Then x * other = sum over h' of (x v_h') h', where v_h' sums
     c_h s_h over the keys with rest h' and lies in f's subring, like x.
-    Since h' does not start (end) in f, each product key is a syllable of f
-    joined to h', and keys from different groups never meet."""
+    Since h' does not start (end) in f, each product key is h' with at most
+    one syllable of f joined to it, and keys of different groups never
+    meet."""
     r = params.r[factor - 1]
     stride = 2 * r
     edge = 0 if left else -1

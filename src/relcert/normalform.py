@@ -81,12 +81,10 @@ def gmul(x: GroupElement, y: GroupElement, params: PresentationParams) -> GroupE
     """Normal-form product: boundary syllables of equal factor merge
     (k mod r, m additively) and vanishing syllables cascade away.  Trusts x:
     only y's syllables are range-checked (see check_reduced)."""
+    check_reduced(y, params)
     r = params.r
-    n = len(r)
     stack = list(x.syllables)
     for factor, k, m in y.syllables:
-        if not (0 < factor <= n and 0 <= k < r[factor - 1]):
-            raise _range_error(factor, k, params)
         _append_syllable(stack, factor, k, m, r[factor - 1])
     return GroupElement(tuple(stack))
 
@@ -97,19 +95,13 @@ def check_reduced(x: GroupElement, params: PresentationParams) -> None:
     r = params.r
     n = len(r)
     for factor, k, _ in x.syllables:
-        if not (0 < factor <= n and 0 <= k < r[factor - 1]):
-            raise _range_error(factor, k, params)
-
-
-def _range_error(factor: int, k: int, params: PresentationParams) -> ParameterError:
-    """The error for a syllable a_factor^k b_factor^m that no element built
-    with params has."""
-    r = params.r
-    if not 0 < factor <= len(r):
-        problem = f"factor {factor} out of range for n={len(r)}"
-    else:
-        problem = f"torsion exponent {k} out of range for r[{factor - 1}]={r[factor - 1]}"
-    return ParameterError(f"{problem}; operand built with different parameters?")
+        if not 0 < factor <= n:
+            problem = f"factor {factor} out of range for n={n}"
+        elif not 0 <= k < r[factor - 1]:
+            problem = f"torsion exponent {k} out of range for r[{factor - 1}]={r[factor - 1]}"
+        else:
+            continue
+        raise ParameterError(f"{problem}; operand built with different parameters?")
 
 
 def ginv(x: GroupElement, params: PresentationParams) -> GroupElement:
