@@ -29,7 +29,7 @@ from .foxcomplex import (
     d2_matrix,
 )
 from .groupring import (
-    RingElement, accumulate, one, parse_ring, ring_mul, ring_to_text, torsion_term, zero
+    RingElement, one, parse_ring, ring_mul, ring_to_text, torsion_term, zero
 )
 from .relmodule import (
     commutator_image,
@@ -92,9 +92,6 @@ class AddRightMultiple:
         if self.src < 0 or self.dst < 0:
             raise ParameterError("row indices must be nonnegative")
 
-    def inverted(self) -> "AddRightMultiple":
-        return AddRightMultiple(self.src, self.dst, -self.coeff)
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -117,11 +114,8 @@ def _reconstruct(
     coeffs: list[RingElement],
     params: PresentationParams,
 ) -> RingVector:
-    sums = [{} for _ in gens[0].entries]
-    for g, c in zip(gens, coeffs):
-        for acc, product in zip(sums, g.act(c, params).entries):
-            accumulate(acc, product.terms.items())
-    return RingVector(tuple(RingElement(acc) for acc in sums))
+    """sum_k gens_k * coeffs_k."""
+    return apply(RingMatrix(tuple(gens)), RingVector(tuple(coeffs)), params)
 
 
 def _alpha_coords(

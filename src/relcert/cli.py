@@ -15,7 +15,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError, ParseError, VerificationError
 from .freewords import PresentationParams, parse_word, random_word, verify_free_identities
@@ -87,17 +87,7 @@ def run_verification(
     for i in range(1, n + 1):
         report = check_reduction(i, params)
         if not report.ok:
-            failing = [
-                name
-                for name in (
-                    "total",
-                    "power_norm_term",
-                    "power_ramp_term",
-                    "commutator_norm_term",
-                    "commutator_ramp_term",
-                )
-                if not getattr(report, name)
-            ]
+            failing = [f.name for f in fields(report) if not getattr(report, f.name)]
             bad.append(f"factor {i}: {', '.join(failing)}")
     groups.append(_group("square reduction identity (with four expansion terms)", not bad, tuple(bad)))
 
@@ -191,20 +181,25 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _write_output(data: bytes, out: str | None) -> None:
+def _write_output(data: bytes, out: str | None) -> int:
+    """Exit code of writing data to out (stdout for None or '-')."""
     if out is None or out == "-":
         sys.stdout.write(data.decode("utf-8"))
-    else:
+        return 0
+    try:
         with open(out, "wb") as handle:
             handle.write(data)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_certificate(config: RunConfig) -> int:
     # All but the basis trace, so this command does not pay for its replay.
     cert = build_certificate(config.params)
     require_accepted(check_relations(cert))
-    _write_output(certificate_bytes(cert), config.out)
-    return 0
+    return _write_output(certificate_bytes(cert), config.out)
 
 
 def _json_int(literal: str) -> int:
@@ -226,6 +221,9 @@ def cmd_check_cert(path: str) -> int:
     except ValueError as exc:  # also _json_int's refusal
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: {path} is not valid JSON: nested too deeply", file=sys.stderr)
+        return 2
     report = check_certificate_json(obj)
     for item in report.items:
         tag = "PASS" if item.passed else "FAIL"
@@ -242,8 +240,7 @@ def cmd_check_cert(path: str) -> int:
 def cmd_complex(config: RunConfig) -> int:
     export = build_chain_export(config.params)
     text = json.dumps(chain_export_to_json(export), indent=2, sort_keys=True) + "\n"
-    _write_output(text.encode("utf-8"), config.out)
-    return 0
+    return _write_output(text.encode("utf-8"), config.out)
 
 
 def cmd_normalize(word_text: str, config: RunConfig) -> int:

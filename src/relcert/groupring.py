@@ -36,7 +36,6 @@ from .normalform import (
     canonical_key,
     check_reduced,
     element_to_text,
-    ginv,
     gmul,
     project,
     torsion_power,
@@ -57,10 +56,6 @@ class RingElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def support(self) -> int:
-        return len(self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RingElement) and self.terms == other.terms
@@ -135,11 +130,11 @@ def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> Ring
     # Scalar shortcut: a multiple of the identity commutes with everything.
     if len(yt) == 1:
         g, c = next(iter(yt.items()))
-        if g.is_identity:
+        if not g:
             return c * x
     if len(xt) == 1:
         g, c = next(iter(xt.items()))
-        if g.is_identity:
+        if not g:
             return c * y
     local = _factor_cells(xt, params)
     if local is not None:
@@ -155,37 +150,36 @@ def _sparse_mul(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
     in one factor's subring (ring_mul takes every other product group by
     group).  In g * h only the last syllable of g and the first of h can
     meet; only when their merge vanishes does gmul cascade further.  Sums
-    are keyed by plain syllable tuples, hashed in C, and wrapped once at
+    are keyed by plain syllable tuples, which hash and compare like the
+    group elements they spell, and each surviving key is wrapped once at
     the end."""
     r = params.r
-    right = []  # (syllables, first factor or 0, head syllable, suffix, coefficient)
+    right = []  # (key, first factor or 0, head syllable, suffix, coefficient)
     for h, ch in yt.items():
         check_reduced(h, params)
-        hs = h.syllables
-        right.append((hs, hs[0][0], hs[0], hs[1:], ch) if hs else (hs, 0, None, hs, ch))
+        right.append((h, h[0][0], h[0], h[1:], ch) if h else (h, 0, None, (), ch))
     out: dict[tuple[Syllable, ...], int] = {}
     get = out.get
     new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
     for g, cg in xt.items():
         check_reduced(g, params)
-        gs = g.syllables
-        if not gs:
-            for hs, _, _, _, ch in right:
-                out[hs] = get(hs, 0) + cg * ch
+        if not g:
+            for h, _, _, _, ch in right:
+                out[h] = get(h, 0) + cg * ch
             continue
-        f, k, m = gs[-1]
-        prefix = gs[:-1]
+        f, k, m = g[-1]
+        prefix = g[:-1]
         rf = r[f - 1]
-        for hs, hf, head, suffix, ch in right:
+        for h, hf, head, suffix, ch in right:
             if hf != f:
-                key = gs + hs
+                key = g + h
             else:
                 k2 = (k + head[1]) % rf
                 m2 = m + head[2]
                 if k2 or m2:
                     key = prefix + (new_syllable(Syllable, (f, k2, m2)),) + suffix
                 else:
-                    key = gmul(GroupElement(prefix), GroupElement(suffix), params).syllables
+                    key = gmul(prefix, suffix, params)
             out[key] = get(key, 0) + cg * ch
     return {GroupElement(key): c for key, c in out.items() if c}
 
@@ -203,13 +197,12 @@ def _factor_cells(terms, params: PresentationParams):
     factor = rf = stride = 0
     cells: dict[int, int] = {}
     for g, c in terms.items():
-        syllables = g.syllables
-        if not syllables:
+        if not g:
             cells[0] = c
             continue
-        if len(syllables) > 1:
+        if len(g) > 1:
             return None
-        f, k, m = syllables[0]
+        f, k, m = g[0]
         if f != factor:
             if factor or not 1 <= f <= len(r):
                 return None
@@ -238,13 +231,12 @@ def _split_mul(factor: int, cells, other, left: bool, params: PresentationParams
     groups: dict[tuple[Syllable, ...], dict[int, int]] = {}
     for h, c in other.items():
         check_reduced(h, params)
-        hs = h.syllables
-        if hs and hs[edge][0] == factor:
-            _, k, m = hs[edge]
+        if h and h[edge][0] == factor:
+            _, k, m = h[edge]
             cell = m * stride + k
-            rest = hs[1:] if left else hs[:-1]
+            rest = h[1:] if left else h[:-1]
         else:
-            cell, rest = 0, hs
+            cell, rest = 0, h
         group = groups.get(rest)
         if group is None:
             groups[rest] = {cell: c}
@@ -378,12 +370,6 @@ def _unpack(value: int, nslots: int, width: int) -> list[int]:
         int.from_bytes(raw[i:i + width], "little", signed=True)
         for i in range(0, len(raw), width)
     ]
-
-
-def star(x: RingElement, params: PresentationParams) -> RingElement:
-    """The involution g -> g^-1, extended linearly.  Anti-automorphism:
-    star(xy) = star(y) star(x); it converts left-module data to right."""
-    return RingElement({ginv(g, params): c for g, c in x.terms.items()})
 
 
 def norm_element(i: int, params: PresentationParams) -> RingElement:

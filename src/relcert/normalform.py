@@ -4,6 +4,7 @@ An element is an alternating product of nontrivial one-factor syllables
 a_i^k b_i^m with 0 <= k < r_i and m unbounded; a_i and b_i commute inside
 their factor.  Adjacent syllables always come from distinct factors, which
 makes the form unique: two elements are equal iff their syllable tuples are.
+A GroupElement is that tuple, so it hashes and compares as a plain tuple.
 """
 
 from __future__ import annotations
@@ -20,24 +21,20 @@ class Syllable(NamedTuple):
     m: int  # free exponent
 
 
-class GroupElement:
-    """Normal form; the empty syllable tuple is the group identity."""
+class GroupElement(tuple):
+    """Normal form as its tuple of syllables; the empty tuple is the group
+    identity.  Hash and equality are tuple's, so a plain syllable tuple
+    equals the element it spells."""
 
-    __slots__ = ("syllables", "_hash")
+    __slots__ = ()
 
-    def __init__(self, syllables: tuple[Syllable, ...] = ()):
-        self.syllables = syllables
-        self._hash = hash(syllables)
+    @property
+    def syllables(self) -> tuple[Syllable, ...]:
+        return self
 
     @property
     def is_identity(self) -> bool:
-        return not self.syllables
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElement) and self.syllables == other.syllables
-
-    def __hash__(self) -> int:
-        return self._hash
+        return not self
 
     def __repr__(self) -> str:
         return f"GroupElement({element_to_text(self)!r})"
@@ -74,7 +71,7 @@ def project(w: FreeWord, params: PresentationParams) -> GroupElement:
             _append_syllable(stack, i, exp % ri, 0, ri)
         else:
             _append_syllable(stack, i, 0, exp, ri)
-    return GroupElement(tuple(stack))
+    return GroupElement(stack)
 
 
 def gmul(x: GroupElement, y: GroupElement, params: PresentationParams) -> GroupElement:
@@ -83,10 +80,10 @@ def gmul(x: GroupElement, y: GroupElement, params: PresentationParams) -> GroupE
     only y's syllables are range-checked (see check_reduced)."""
     check_reduced(y, params)
     r = params.r
-    stack = list(x.syllables)
-    for factor, k, m in y.syllables:
+    stack = list(x)
+    for factor, k, m in y:
         _append_syllable(stack, factor, k, m, r[factor - 1])
-    return GroupElement(tuple(stack))
+    return GroupElement(stack)
 
 
 def check_reduced(x: GroupElement, params: PresentationParams) -> None:
@@ -94,7 +91,7 @@ def check_reduced(x: GroupElement, params: PresentationParams) -> None:
     torsion exponent in [0, r_factor)."""
     r = params.r
     n = len(r)
-    for factor, k, _ in x.syllables:
+    for factor, k, _ in x:
         if not 0 < factor <= n:
             problem = f"factor {factor} out of range for n={n}"
         elif not 0 <= k < r[factor - 1]:
@@ -107,9 +104,7 @@ def check_reduced(x: GroupElement, params: PresentationParams) -> None:
 def ginv(x: GroupElement, params: PresentationParams) -> GroupElement:
     check_reduced(x, params)
     r = params.r
-    return GroupElement(
-        tuple(Syllable(f, (r[f - 1] - k) % r[f - 1], -m) for f, k, m in reversed(x.syllables))
-    )
+    return GroupElement(Syllable(f, (r[f - 1] - k) % r[f - 1], -m) for f, k, m in reversed(x))
 
 
 def torsion_power(i: int, j: int, params: PresentationParams) -> GroupElement:
@@ -128,16 +123,16 @@ def free_power(i: int, m: int, params: PresentationParams) -> GroupElement:
 def canonical_key(x: GroupElement):
     """Sort key for the canonical total order: syllable count first, then
     lexicographic on (factor, k, m) tuples with integer order on m."""
-    return (len(x.syllables), x.syllables)
+    return (len(x), x)
 
 
 def element_to_text(x: GroupElement) -> str:
     """Per syllable "a<i>^k b<i>^m", omitting zero parts and exponent 1;
     the identity prints as "e"."""
-    if not x.syllables:
+    if not x:
         return "e"
     parts = []
-    for factor, k, m in x.syllables:
+    for factor, k, m in x:
         if k:
             parts.append(f"a{factor}" if k == 1 else f"a{factor}^{k}")
         if m:

@@ -15,7 +15,7 @@ directly against freshly conjugated relators rather than assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError
 from .freewords import PresentationParams, commutator_relator, power_relator
@@ -112,13 +112,7 @@ class ReductionReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.total
-            and self.power_norm_term
-            and self.power_ramp_term
-            and self.commutator_norm_term
-            and self.commutator_ramp_term
-        )
+        return all(getattr(self, f.name) for f in fields(self))
 
 
 def check_reduction(i: int, params: PresentationParams) -> ReductionReport:

@@ -113,6 +113,23 @@ def test_check_cert_io_and_parse_errors(tmp_path, capsys):
     assert main(["check-cert", str(malformed)]) == 2
 
 
+def test_check_cert_deep_nesting_exit_2(tmp_path, capsys):
+    # Past the parser's recursion limit: a parse error, not a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10_000 + "]" * 10_000)
+    assert main(["check-cert", str(path)]) == 2
+    assert "is not valid JSON: nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certificate", "complex"])
+def test_unwritable_out_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "out.json"
+    assert main([command, "--r", "2,3", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.out == ""
+
+
 def test_complex_export(tmp_path):
     path = tmp_path / "complex.json"
     assert main(["complex", "--r", "2,3", "--out", str(path)]) == 0

@@ -23,7 +23,6 @@ from relcert.groupring import (
     ramp_element,
     ring_mul,
     ring_to_text,
-    star,
     torsion_term,
     zero,
 )
@@ -80,7 +79,7 @@ def test_single_term_product():
     b2 = free_term(2, 1, P3)
     prod = ring_mul(a1, b2, P3)
     assert prod == group_term(gmul(torsion_power(1, 1, P3), free_power(2, 1, P3), P3))
-    assert prod.support == 1
+    assert len(prod.terms) == 1
 
 
 def test_ring_axioms_random():
@@ -204,6 +203,12 @@ def test_parse_ring_errors():
         parse_ring("a9", P3)
 
 
+def star(x, params):
+    """The involution g -> g^-1, extended linearly.  Anti-automorphism:
+    star(xy) = star(y) star(x); it converts left-module data to right."""
+    return RingElement({ginv(g, params): c for g, c in x.terms.items()})
+
+
 # ---------------------------------------------------------------------------
 # Both paths of ring_mul against the plain convolution.
 
@@ -286,8 +291,10 @@ def test_ring_mul_matches_reference(data, params):
     x = data.draw(syllable_elements(params))
     y = data.draw(syllable_elements(params))
     expected = reference_mul(x.terms, y.terms, params)
-    assert ring_mul(x, y, params).terms == expected
-    assert _sparse_mul(x.terms, y.terms, params) == expected
+    product, sparse = ring_mul(x, y, params).terms, _sparse_mul(x.terms, y.terms, params)
+    assert product == expected
+    assert sparse == expected
+    assert all(isinstance(g, GroupElement) for g in (*product, *sparse))
 
 
 def test_boundary_merges_cascade_to_identity():
@@ -301,7 +308,9 @@ def test_boundary_merges_cascade_to_identity():
     y = group_term(right, -2) + torsion_term(2, 1, P3)
     expected = reference_mul(x.terms, y.terms, P3)
     assert expected[IDENTITY] == -6
-    assert ring_mul(x, y, P3).terms == expected
+    product = ring_mul(x, y, P3).terms
+    assert product == expected
+    assert all(isinstance(g, GroupElement) for g in product)
 
 
 def test_cancelled_key_is_dropped():
@@ -506,8 +515,10 @@ def split_operands(draw):
 @given(split_operands())
 def test_split_mul_matches_reference(operands):
     params, x, y = operands
-    assert ring_mul(x, y, params).terms == reference_mul(x.terms, y.terms, params)
-    assert ring_mul(y, x, params).terms == reference_mul(y.terms, x.terms, params)
+    xy, yx = ring_mul(x, y, params).terms, ring_mul(y, x, params).terms
+    assert xy == reference_mul(x.terms, y.terms, params)
+    assert yx == reference_mul(y.terms, x.terms, params)
+    assert all(isinstance(g, GroupElement) for g in (*xy, *yx))
 
 
 def test_split_group_products_vanish_or_leave_the_suffix():

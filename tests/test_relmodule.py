@@ -16,7 +16,6 @@ from relcert.groupring import (
     norm_element,
     one,
     ring_mul,
-    star,
     torsion_term,
     zero,
 )
@@ -30,6 +29,7 @@ from relcert.relmodule import (
     power_image,
     reduction_multiplier,
 )
+from test_groupring import star
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
