@@ -31,6 +31,7 @@ from .foxcomplex import (
 from .groupring import (
     RingElement, one, parse_ring, ring_mul, ring_to_text, torsion_term, zero
 )
+from .normalform import GroupElement
 from .relmodule import (
     commutator_image,
     lifted_generator,
@@ -506,10 +507,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_ring_field(text, params: PresentationParams, where: str) -> RingElement:
+def _parse_ring_field(
+    text, params: PresentationParams, where: str, words: dict[str, GroupElement]
+) -> RingElement:
     _require(isinstance(text, str), f"{where}: expected a ring-element string")
     try:
-        return parse_ring(text, params)
+        return parse_ring(text, params, words)
     except ParseError as exc:
         raise ParseError(f"{where}: {exc.raw_message}", exc.column) from None
 
@@ -536,6 +539,7 @@ def certificate_from_json(obj: dict) -> Certificate:
 def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
     """certificate_from_json for a tree whose 'r' already gave params."""
     n = params.n
+    words: dict[str, GroupElement] = {}  # parse_ring's word memo, for these params
     version = obj.get("version")
     _require(
         _is_int(version) and version == CERTIFICATE_VERSION,
@@ -568,7 +572,7 @@ def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
         )
         return tuple(
             tuple(
-                _parse_ring_field(raw[k][i], params, f"{name}[{k}][{i}]")
+                _parse_ring_field(raw[k][i], params, f"{name}[{k}][{i}]", words)
                 for i in range(n)
             )
             for k in range(n + 1)
@@ -586,7 +590,7 @@ def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
     alpha = tuple(
         RingVector(
             tuple(
-                _parse_ring_field(raw_alpha[i][j], params, f"alpha[{i}][{j}]")
+                _parse_ring_field(raw_alpha[i][j], params, f"alpha[{i}][{j}]", words)
                 for j in range(2 * n)
             )
         )
@@ -609,7 +613,7 @@ def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
             f"{where}: 'src' and 'dst' must be distinct row indices below {2 * n}",
         )
         ops.append(
-            AddRightMultiple(src, dst, _parse_ring_field(raw.get("coeff"), params, where))
+            AddRightMultiple(src, dst, _parse_ring_field(raw.get("coeff"), params, where, words))
         )
     return Certificate(params, crt, lam, mu, alpha, tuple(ops))
 

@@ -23,6 +23,7 @@ joins each pair of keys at their boundary syllables (_sparse_mul).
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from operator import add
@@ -33,6 +34,7 @@ from .normalform import (
     IDENTITY,
     GroupElement,
     Syllable,
+    _append_syllable,
     canonical_key,
     check_reduced,
     element_to_text,
@@ -431,10 +433,20 @@ def ring_to_text(x: RingElement) -> str:
     return "".join(chunks)
 
 
-def parse_ring(text: str, params: PresentationParams) -> RingElement:
+def parse_ring(
+    text: str, params: PresentationParams, words: dict[str, GroupElement] | None = None
+) -> RingElement:
     """Parse the ring-element text form.  Group words are normalized on the
     way in, so any valid spelling of a term is accepted; a '-' ends a term
-    unless it immediately follows '^'."""
+    unless it immediately follows '^'.
+
+    Each term is read by one match of _TERM, its word by _WORD and
+    _LETTER, folding the letters straight into syllable normal form.  A
+    term those patterns refuse (or whose digits int() refuses) is read
+    again by _scan_term, which raises the error at its column or returns
+    what it accepts.  `words` maps word text to its element and is filled
+    as words are read; one dict may serve every string read with the same
+    params, and with no others."""
     s = text
     size = len(s)
     pos = 0
@@ -449,36 +461,98 @@ def parse_ring(text: str, params: PresentationParams) -> RingElement:
         if tail != size:
             raise ParseError("unexpected text after '0'", tail + 1)
         return RingElement({})
+    if words is None:
+        words = {}
     terms: list[tuple[GroupElement, int]] = []
     sign = 1
     if s[pos] == "-":
         sign = -1
         pos += 1
     while True:
-        while pos < size and s[pos].isspace():
-            pos += 1
-        if pos == size:
-            raise ParseError("expected a term", pos + 1)
-        coeff = 1
-        if s[pos].isdigit():
-            coeff, pos = scan_int(s, pos)
-            if pos < size and s[pos] == "*":
-                pos += 1
-            else:
-                raise ParseError("expected '*' between coefficient and group word", pos + 1)
-        wstart = pos
-        while pos < size:
-            ch = s[pos]
-            if ch == "+" or (ch == "-" and s[pos - 1] != "^"):
-                break
-            pos += 1
+        term = _TERM.match(s, pos)
+        digits, word, end = term.groups()
+        g = words.get(word)
         try:
-            w = parse_word(s[wstart:pos], params.n)
-        except ParseError as exc:
-            col = wstart + exc.column if exc.column is not None else None
-            raise ParseError(exc.raw_message, col) from None
-        terms.append((project(w, params), sign * coeff))
-        if pos == size:
+            coeff = int(digits) if digits else 1
+            if g is None:
+                g = _read_word(word, params)
+                if g is not None:
+                    words[word] = g
+        except ValueError:  # a digit run past int()'s 4300-digit limit
+            g = None
+        if g is None:
+            g, coeff, stop = _scan_term(s, pos, params)
+            end = s[stop:stop + 1]
+        else:
+            stop = term.start(3)
+        terms.append((g, sign * coeff))
+        if not end:
             return from_terms(terms)
-        sign = 1 if s[pos] == "+" else -1
+        sign = 1 if end == "+" else -1
+        pos = stop + 1
+
+
+# One term: whitespace, a coefficient of ASCII digits with its '*' right
+# after them, the word text, and the '+' or '-' that ends the term (a '-'
+# right after '^' is an exponent's sign) or the end of the text.  The word
+# runs to the first such '+' or '-', so the pattern matches at every
+# position on its first, greedy try and never backtracks.
+_TERM = re.compile(r"\s*(?:([0-9]+)\*)?([^+\-^]*(?:\^-?[^+\-^]*)*)([+-]|\Z)")
+# A word _read_word takes: separators (whitespace and '*') around 'e' or
+# around letters a<i>, b<i> with an optional exponent '^-<k>' or '^<k>',
+# every digit ASCII.  Each letter takes the separators after it, which no
+# letter starts with.
+_WORD = re.compile(r"[\s*]*(?:e[\s*]*|(?:[ab][0-9]+(?:\^-?[0-9]+)?[\s*]*)+)")
+_LETTER = re.compile(r"([ab])([0-9]+)(?:\^(-?[0-9]+))?")
+
+
+def _read_word(word: str, params: PresentationParams) -> GroupElement | None:
+    """The normal form of word, as parse_word and project give it, or None
+    when _WORD refuses word or an index lies outside 1..n.  int() raises
+    ValueError on a digit run past 4300 digits."""
+    if _WORD.fullmatch(word) is None:
+        return None
+    r = params.r
+    n = len(r)
+    stack: list[Syllable] = []
+    for kind, index, exp in _LETTER.findall(word):
+        i = int(index)
+        if not 0 < i <= n:
+            return None
+        ri = r[i - 1]
+        e = int(exp) if exp else 1
+        if kind == "a":
+            _append_syllable(stack, i, e % ri, 0, ri)
+        else:
+            _append_syllable(stack, i, 0, e, ri)
+    return GroupElement(stack)
+
+
+def _scan_term(s: str, pos: int, params: PresentationParams) -> tuple[GroupElement, int, int]:
+    """The term at s[pos:] read character by character: its element, its
+    coefficient, and the position of the '+' or '-' that ends it (len(s)
+    at the end).  Raises ParseError at the column of the first fault."""
+    size = len(s)
+    while pos < size and s[pos].isspace():
         pos += 1
+    if pos == size:
+        raise ParseError("expected a term", pos + 1)
+    coeff = 1
+    if s[pos].isdigit():
+        coeff, pos = scan_int(s, pos)
+        if pos < size and s[pos] == "*":
+            pos += 1
+        else:
+            raise ParseError("expected '*' between coefficient and group word", pos + 1)
+    wstart = pos
+    while pos < size:
+        ch = s[pos]
+        if ch == "+" or (ch == "-" and s[pos - 1] != "^"):
+            break
+        pos += 1
+    try:
+        w = parse_word(s[wstart:pos], params.n)
+    except ParseError as exc:
+        col = wstart + exc.column if exc.column is not None else None
+        raise ParseError(exc.raw_message, col) from None
+    return project(w, params), coeff, pos

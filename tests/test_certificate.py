@@ -348,7 +348,7 @@ def test_check_json_builds_params_once(monkeypatch):
 def test_ring_text_parameter_error_is_not_a_params_verdict(monkeypatch):
     obj = json.loads(certificate_bytes(build_certificate(P23)))
 
-    def failing(text, params):
+    def failing(*args):
         raise ParameterError("raised while reading ring text")
 
     monkeypatch.setattr(certificate, "parse_ring", failing)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcert.errors import ParameterError, ParseError
-from relcert.freewords import PresentationParams, random_word
+from relcert.freewords import PresentationParams, parse_word, random_word, scan_int
 from relcert.groupring import (
     RingElement,
     _cell_mul,
@@ -38,6 +38,7 @@ from relcert.normalform import (
     project,
     torsion_power,
 )
+from test_parse_fuzz import GENUINE, PARAMS, grammar_text
 
 P3 = PresentationParams((3, 5))
 P235 = PresentationParams((2, 3, 5))
@@ -228,6 +229,145 @@ def reference_mul(xt, yt, params):
             elif key in out:
                 del out[key]
     return out
+
+
+# ---------------------------------------------------------------------------
+# parse_ring against the character-by-character scanner it replaced.
+
+
+def reference_parse_ring(text, params):
+    """Ring text read one character at a time, each term's word through
+    parse_word and project: the reference parse_ring is held to."""
+    s = text
+    size = len(s)
+    pos = 0
+    while pos < size and s[pos].isspace():
+        pos += 1
+    if pos == size:
+        raise ParseError("empty ring-element text", pos + 1)
+    if s[pos] == "0":
+        tail = pos + 1
+        while tail < size and s[tail].isspace():
+            tail += 1
+        if tail != size:
+            raise ParseError("unexpected text after '0'", tail + 1)
+        return RingElement({})
+    terms = []
+    sign = 1
+    if s[pos] == "-":
+        sign = -1
+        pos += 1
+    while True:
+        while pos < size and s[pos].isspace():
+            pos += 1
+        if pos == size:
+            raise ParseError("expected a term", pos + 1)
+        coeff = 1
+        if s[pos].isdigit():
+            coeff, pos = scan_int(s, pos)
+            if pos < size and s[pos] == "*":
+                pos += 1
+            else:
+                raise ParseError("expected '*' between coefficient and group word", pos + 1)
+        wstart = pos
+        while pos < size:
+            ch = s[pos]
+            if ch == "+" or (ch == "-" and s[pos - 1] != "^"):
+                break
+            pos += 1
+        try:
+            w = parse_word(s[wstart:pos], params.n)
+        except ParseError as exc:
+            col = wstart + exc.column if exc.column is not None else None
+            raise ParseError(exc.raw_message, col) from None
+        terms.append((project(w, params), sign * coeff))
+        if pos == size:
+            return from_terms(terms)
+        sign = 1 if s[pos] == "+" else -1
+        pos += 1
+
+
+def parse_outcome(read, text, params, *words):
+    """The element read, or the error's type and text (message and column)."""
+    try:
+        return read(text, params, *words)
+    except (ParseError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+# The quirks of the term grammar, with the outcome each must keep.
+QUIRKS = [
+    ("0*a1", "unexpected text after '0' (column 2)"),  # a leading 0 stands alone
+    ("00*a1", "unexpected text after '0' (column 2)"),
+    ("10*a1", 10 * torsion_term(1, 1, P3)),
+    ("a1 + 0*a1", torsion_term(1, 1, P3)),  # only the leading one
+    ("2 *a1", "expected '*' between coefficient and group word (column 2)"),
+    ("2* *a1", 2 * torsion_term(1, 1, P3)),  # '*' right after the digits
+    ("²*a1", "integer literal is not decimal or too long (column 1)"),  # isdigit, not int()
+    ("a²", "integer literal is not decimal or too long (column 2)"),
+    ("٣*a1", 3 * torsion_term(1, 1, P3)),  # int() reads it as 3
+    ("a١^٣", torsion_term(1, 3, P3)),
+    ("b0", "generator index must be >= 1 (column 2)"),
+    ("a1 + b3", "generator index 3 exceeds n=2 (column 7)"),
+    ("a1^-2", torsion_term(1, -2, P3)),  # a '-' right after '^' is no term end
+    ("a1^ -2", "expected exponent digits after '^' (column 4)"),
+    ("a1\x1c+\x1cb1", torsion_term(1, 1, P3) + free_term(1, 1, P3)),  # isspace
+    ("e*\t", one()),
+]
+
+
+@pytest.mark.parametrize("text, outcome", QUIRKS)
+def test_parse_ring_quirks(text, outcome):
+    expected = outcome if isinstance(outcome, RingElement) else (ParseError, outcome)
+    assert parse_outcome(reference_parse_ring, text, P3) == expected
+    assert parse_outcome(parse_ring, text, P3) == expected
+
+
+@settings(max_examples=400, deadline=1000)
+@given(grammar_text, st.sampled_from(PARAMS))
+def test_parse_ring_matches_reference(text, params):
+    expected = parse_outcome(reference_parse_ring, text, params)
+    words = {}
+    assert parse_outcome(parse_ring, text, params, words) == expected
+    assert parse_outcome(parse_ring, text, params, words) == expected  # memo warm
+    for word, g in words.items():
+        assert project(parse_word(word, params.n), params) == g
+
+
+def certificate_texts(obj):
+    """The ring-element strings of a certificate's JSON tree."""
+    texts = [text for name in ("lambda", "mu", "alpha") for row in obj[name] for text in row]
+    return texts + [op["coeff"] for op in obj["basis_ops"]]
+
+
+GENUINE_TEXTS = [
+    (text, PresentationParams(tuple(obj["r"])))
+    for obj in GENUINE
+    for text in certificate_texts(obj)
+]
+EDIT_CHARS = st.one_of(st.sampled_from(" \t\x1c*^-+0123456789abe²٣!"), st.characters())
+
+
+@st.composite
+def edited_texts(draw):
+    """A genuine certificate string with one character inserted, deleted
+    or replaced, its params, and the string itself."""
+    text, params = draw(st.sampled_from(GENUINE_TEXTS))
+    i = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    ch = "" if edit == "delete" else draw(EDIT_CHARS)
+    return text[:i] + ch + text[i + (edit != "insert"):], params, text
+
+
+@settings(max_examples=400, deadline=1000)
+@given(edited_texts())
+def test_edited_certificate_text_matches_reference(edited):
+    text, params, genuine = edited
+    words = {}
+    assert parse_ring(genuine, params, words) == reference_parse_ring(genuine, params)
+    # The edited text meets a memo that holds the genuine string's words.
+    expected = parse_outcome(reference_parse_ring, text, params)
+    assert parse_outcome(parse_ring, text, params, words) == expected
 
 
 BIG = 2**200

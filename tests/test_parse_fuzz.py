@@ -4,6 +4,7 @@ raise ParseError or ParameterError; any other exception would surface as a
 traceback (exit 1) in the command line instead of a parse error (exit 2)."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ PARAMS = [PresentationParams((2, 3)), PresentationParams((7,)), PresentationPara
 long_digits = st.integers(4301, 5000).map(lambda k: "9" * k)
 tokens = st.one_of(
     st.sampled_from(
-        ["a", "b", "e", "1", "2", "3", "0", "12", "^", "-", "+", "*", " ", "\t", "²", "٣"]
+        ["a", "b", "e", "1", "2", "3", "0", "12", "^", "-", "+", "*", " ", "\t", "²", "٣",
+         "\x1c", "00*", "^ -"]
     ),
     st.text(max_size=3),
     long_digits,
@@ -52,6 +54,25 @@ def test_parse_word_fuzz(text, n):
 @given(grammar_text, st.sampled_from(PARAMS))
 def test_parse_ring_fuzz(text, params):
     reads_or_rejects(parse_ring, text, params)
+
+
+# Long runs that a backtracking term pattern could take quadratic time on:
+# each must be rejected with the scanner's message and column within 1 s.
+HOSTILE = [
+    ("a1 +" + " " * 10**6 + "!", "expected generator 'a' or 'b', found '!'", 10**6 + 5),
+    ("2*" + " *" * 10**5 + "a1!", "expected generator 'a' or 'b', found '!'", 2 * 10**5 + 5),
+    ("a1 " * 10**5 + "b1^-", "expected exponent digits after '^'", 3 * 10**5 + 5),
+]
+
+
+@pytest.mark.parametrize("text, message, column", HOSTILE)
+def test_hostile_ring_text_is_rejected_quickly(text, message, column):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_ring(text, PARAMS[0])
+    elapsed = time.perf_counter() - start
+    assert (err.value.raw_message, err.value.column) == (message, column)
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 # JSON values as json.loads can produce them: integers stop at 4300 digits
