@@ -25,7 +25,7 @@ from .foxcomplex import (
     apply,
     c1_labels,
     c2_labels,
-    d1_vector,
+    d1_matrix,
     d2_matrix,
 )
 from .groupring import (
@@ -641,7 +641,7 @@ class ChainExport:
     """The boundary data of the 3-complex, with the basis change when n >= 2."""
 
     params: PresentationParams
-    d1: RingVector
+    d1: RingMatrix
     d2: RingMatrix
     d3: tuple[RingVector, ...]
     p: RingMatrix | None
@@ -658,7 +658,7 @@ def build_chain_export(params: PresentationParams) -> ChainExport:
     report = require_accepted(check_certificate(cert))
     p, q = report.basis or (None, None)
     d2 = report.d2 if report.d2 is not None else d2_matrix(params)
-    return ChainExport(params, d1_vector(params), d2, cert.alpha, p, q)
+    return ChainExport(params, d1_matrix(params), d2, cert.alpha, p, q)
 
 
 def _matrix_texts(m: RingMatrix) -> list[list[str]]:
@@ -674,7 +674,7 @@ def chain_export_to_json(export: ChainExport) -> dict:
         "c1_labels": c1_labels(n),
         "c2_labels": c2_labels(n),
         "d3_labels": [f"alpha{i}" for i in range(1, n)],
-        "d1": [ring_to_text(e) for e in export.d1.entries],
+        "d1": [ring_to_text(row[0]) for row in export.d1.rows],
         "d2": _matrix_texts(export.d2),
         "d3": [[ring_to_text(e) for e in a.entries] for a in export.d3],
         "P": _matrix_texts(export.p) if export.p is not None else None,

@@ -15,11 +15,11 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ParameterError, ParseError, VerificationError
 from .freewords import PresentationParams, parse_word, random_word, verify_free_identities
-from .foxcomplex import d1_contract, d1_vector, d2_matrix, fundamental_identity_holds
+from .foxcomplex import apply, d1_matrix, d2_matrix, fundamental_identity_holds
 from .groupring import check_cyclic_identities
 from .normalform import element_to_text, project
 from .relmodule import check_module_identities, check_reduction
@@ -45,14 +45,6 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    params: PresentationParams
-    out: str | None = None
-    format: str = "text"
-    seed: int = DEFAULT_SEED
-
-
-@dataclass(frozen=True)
 class CheckGroup:
     name: str
     status: str
@@ -73,23 +65,19 @@ def run_verification(
     ok = all(verify_free_identities(i, params) for i in range(1, n + 1))
     groups.append(_group("free-relator conjugation identities", ok))
 
-    bad = tuple(
-        f"factor {i}" for i in range(1, n + 1) if not check_cyclic_identities(i, params).ok
-    )
-    groups.append(_group("cyclic norm/ramp ring identities", not bad, bad))
-
-    bad = tuple(
-        f"factor {i}" for i in range(1, n + 1) if not check_module_identities(i, params).ok
-    )
-    groups.append(_group("relation-module action identities", not bad, bad))
-
-    bad = []
-    for i in range(1, n + 1):
-        report = check_reduction(i, params)
-        if not report.ok:
-            failing = [f.name for f in fields(report) if not getattr(report, f.name)]
-            bad.append(f"factor {i}: {', '.join(failing)}")
-    groups.append(_group("square reduction identity (with four expansion terms)", not bad, tuple(bad)))
+    # Each check returns its verdicts by name; the reduction group names the
+    # failing ones.
+    for name, check, named in (
+        ("cyclic norm/ramp ring identities", check_cyclic_identities, False),
+        ("relation-module action identities", check_module_identities, False),
+        ("square reduction identity (with four expansion terms)", check_reduction, True),
+    ):
+        bad = []
+        for i in range(1, n + 1):
+            failing = [key for key, ok in check(i, params).items() if not ok]
+            if failing:
+                bad.append(f"factor {i}: {', '.join(failing)}" if named else f"factor {i}")
+        groups.append(_group(name, not bad, tuple(bad)))
 
     # The certificate check builds d2 for its kernel items; the chain
     # condition reads that matrix, so the check runs first.
@@ -101,8 +89,8 @@ def run_verification(
         report, certificate_group = None, _group(name, False, (str(exc),))
     d2 = report.d2 if report is not None and report.d2 is not None else d2_matrix(params)
 
-    d1 = d1_vector(params)
-    ok = all(d1_contract(d1, row, params).is_zero for row in d2.rows)
+    d1 = d1_matrix(params)
+    ok = all(apply(d1, row, params).is_zero for row in d2.rows)
     groups.append(_group("chain condition d1 after d2 = 0", ok))
 
     rng = random.Random(seed)
@@ -175,9 +163,9 @@ def _print_verification(params, seed, groups, fmt: str, stream) -> bool:
     return passed
 
 
-def cmd_verify(config: RunConfig) -> int:
-    groups = run_verification(config.params, config.seed)
-    passed = _print_verification(config.params, config.seed, groups, config.format, sys.stdout)
+def cmd_verify(params: PresentationParams, seed: int, fmt: str) -> int:
+    groups = run_verification(params, seed)
+    passed = _print_verification(params, seed, groups, fmt, sys.stdout)
     return 0 if passed else 1
 
 
@@ -195,11 +183,11 @@ def _write_output(data: bytes, out: str | None) -> int:
     return 0
 
 
-def cmd_certificate(config: RunConfig) -> int:
+def cmd_certificate(params: PresentationParams, out: str | None) -> int:
     # All but the basis trace, so this command does not pay for its replay.
-    cert = build_certificate(config.params)
+    cert = build_certificate(params)
     require_accepted(check_relations(cert))
-    return _write_output(certificate_bytes(cert), config.out)
+    return _write_output(certificate_bytes(cert), out)
 
 
 def _json_int(literal: str) -> int:
@@ -237,15 +225,15 @@ def cmd_check_cert(path: str) -> int:
     return 1
 
 
-def cmd_complex(config: RunConfig) -> int:
-    export = build_chain_export(config.params)
+def cmd_complex(params: PresentationParams, out: str | None) -> int:
+    export = build_chain_export(params)
     text = json.dumps(chain_export_to_json(export), indent=2, sort_keys=True) + "\n"
-    return _write_output(text.encode("utf-8"), config.out)
+    return _write_output(text.encode("utf-8"), out)
 
 
-def cmd_normalize(word_text: str, config: RunConfig) -> int:
-    word = parse_word(word_text, config.params.n)
-    print(element_to_text(project(word, config.params)))
+def cmd_normalize(word_text: str, params: PresentationParams) -> int:
+    word = parse_word(word_text, params.n)
+    print(element_to_text(project(word, params)))
     return 0
 
 
@@ -301,20 +289,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check-cert":
             return cmd_check_cert(args.path)
         params = _parse_r(args.r)
-        config = RunConfig(
-            params=params,
-            out=getattr(args, "out", None),
-            format=getattr(args, "format", "text"),
-            seed=getattr(args, "seed", DEFAULT_SEED),
-        )
         if args.command == "verify":
-            return cmd_verify(config)
+            return cmd_verify(params, args.seed, args.format)
         if args.command == "certificate":
-            return cmd_certificate(config)
+            return cmd_certificate(params, args.out)
         if args.command == "complex":
-            return cmd_complex(config)
+            return cmd_complex(params, args.out)
         if args.command == "normalize":
-            return cmd_normalize(args.word, config)
+            return cmd_normalize(args.word, params)
         parser.error(f"unknown command {args.command!r}")
     except (ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

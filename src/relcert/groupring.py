@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from operator import add
 
 from .errors import ParseError
@@ -230,7 +229,7 @@ def _split_mul(factor: int, cells, other, left: bool, params: PresentationParams
     r = params.r[factor - 1]
     stride = 2 * r
     edge = 0 if left else -1
-    groups: dict[tuple[Syllable, ...], dict[int, int]] = {}
+    groups: dict[GroupElement, dict[int, int]] = {}
     for h, c in other.items():
         check_reduced(h, params)
         if h and h[edge][0] == factor:
@@ -241,7 +240,8 @@ def _split_mul(factor: int, cells, other, left: bool, params: PresentationParams
             cell, rest = 0, h
         group = groups.get(rest)
         if group is None:
-            groups[rest] = {cell: c}
+            # Each group's key is an element once: h itself, or its slice wrapped.
+            groups[rest if rest is h else GroupElement(rest)] = {cell: c}
         else:
             group[cell] = c
     out: dict[GroupElement, int] = {}
@@ -260,7 +260,7 @@ def _split_mul(factor: int, cells, other, left: bool, params: PresentationParams
                 syllable = (new_syllable(Syllable, (factor, k, m)),)
                 out[GroupElement(syllable + rest if left else rest + syllable)] = c
             else:
-                out[GroupElement(rest)] = c
+                out[rest] = c
     return out
 
 
@@ -294,6 +294,10 @@ def _packs(xc, yc, r: int) -> bool:
     stride = 2 * r
     rows = max(xc) // stride - min(xc) // stride + max(yc) // stride - min(yc) // stride + 1
     slots = rows * r
+    if slots >= nx * ny:
+        # Packing cannot pay, and far-apart free exponents would overflow
+        # the float power below.
+        return False
     digits = slots * 8 * _slot_width(xc, yc) // sys.int_info.bits_per_digit
     return nx + ny + slots + digits**1.585 / _PAIR_DIGIT_STEPS < nx * ny
 
@@ -390,29 +394,21 @@ def ramp_element(i: int, params: PresentationParams) -> RingElement:
     )
 
 
-@dataclass(frozen=True)
-class CyclicIdentityReport:
-    """The three ring identities tying the norm and ramp elements together."""
-
-    annihilation: bool  # (1 - a_i) * N_i = 0
-    square_scaling: bool  # N_i^2 = r_i * N_i
-    ramp_difference: bool  # (1 - a_i) * T_i = N_i - r_i
-
-    @property
-    def ok(self) -> bool:
-        return self.annihilation and self.square_scaling and self.ramp_difference
-
-
-def check_cyclic_identities(i: int, params: PresentationParams) -> CyclicIdentityReport:
+def check_cyclic_identities(i: int, params: PresentationParams) -> dict[str, bool]:
+    """The three ring identities tying the norm and ramp elements together,
+    each verdict under its name."""
     ri = params.order(i)
     one_minus_a = one() - torsion_term(i, 1, params)
     norm = norm_element(i, params)
     ramp = ramp_element(i, params)
-    return CyclicIdentityReport(
-        annihilation=ring_mul(one_minus_a, norm, params).is_zero,
-        square_scaling=ring_mul(norm, norm, params) == ri * norm,
-        ramp_difference=ring_mul(one_minus_a, ramp, params) == norm - ri * one(),
-    )
+    return {
+        # (1 - a_i) * N_i = 0
+        "annihilation": ring_mul(one_minus_a, norm, params).is_zero,
+        # N_i^2 = r_i * N_i
+        "square_scaling": ring_mul(norm, norm, params) == ri * norm,
+        # (1 - a_i) * T_i = N_i - r_i
+        "ramp_difference": ring_mul(one_minus_a, ramp, params) == norm - ri * one(),
+    }
 
 
 def ring_to_text(x: RingElement) -> str:

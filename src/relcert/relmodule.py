@@ -15,8 +15,6 @@ directly against freshly conjugated relators rather than assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from .errors import ParameterError
 from .freewords import PresentationParams, commutator_relator, power_relator
 from .foxcomplex import RingVector, starred_fox_row
@@ -76,46 +74,23 @@ def reduction_multiplier(i: int, params: PresentationParams) -> RingElement:
     return left + right
 
 
-@dataclass(frozen=True)
-class ModuleIdentityReport:
-    """The two defining identities of the relator classes in the module."""
-
-    power_annihilated: bool  # E_i (1 - a_i) = 0
-    norm_transfer: bool  # D_i N_i = E_i (1 - b_i^-1)
-
-    @property
-    def ok(self) -> bool:
-        return self.power_annihilated and self.norm_transfer
-
-
-def check_module_identities(i: int, params: PresentationParams) -> ModuleIdentityReport:
+def check_module_identities(i: int, params: PresentationParams) -> dict[str, bool]:
+    """The two defining identities of the relator classes in the module,
+    each verdict under its name."""
     d = commutator_image(i, params)
     e = power_image(i, params)
     ann = e.act(one() - torsion_term(i, 1, params), params)
     lhs = d.act(norm_element(i, params), params)
     rhs = e.act(one() - free_term(i, -1, params), params)
-    return ModuleIdentityReport(
-        power_annihilated=ann.is_zero,
-        norm_transfer=lhs == rhs,
-    )
+    return {
+        "power_annihilated": ann.is_zero,  # E_i (1 - a_i) = 0
+        "norm_transfer": lhs == rhs,  # D_i N_i = E_i (1 - b_i^-1)
+    }
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    """X_i w_i = D_i r_i^2, together with its four expansion terms."""
-
-    total: bool  # X_i w_i = D_i r_i^2
-    power_norm_term: bool  # E_i (1 - b^-1) N = D_i N r
-    power_ramp_term: bool  # E_i (N - r) T = 0
-    commutator_norm_term: bool  # D_i (1 - a)(1 - b^-1) N = 0
-    commutator_ramp_term: bool  # D_i (1 - a)(N - r) T = D_i r^2 - D_i N r
-
-    @property
-    def ok(self) -> bool:
-        return all(getattr(self, f.name) for f in fields(self))
-
-
-def check_reduction(i: int, params: PresentationParams) -> ReductionReport:
+def check_reduction(i: int, params: PresentationParams) -> dict[str, bool]:
+    """X_i w_i = D_i r_i^2, together with its four expansion terms, each
+    verdict under its name."""
     ri = params.order(i)
     d = commutator_image(i, params)
     e = power_image(i, params)
@@ -126,23 +101,24 @@ def check_reduction(i: int, params: PresentationParams) -> ReductionReport:
     one_minus_a = one() - torsion_term(i, 1, params)
     one_minus_binv = one() - free_term(i, -1, params)
     norm_minus_r = norm - ri * one()
-
     square = group_term(IDENTITY, ri * ri)
-    total = x.act(w, params) == d.act(square, params)
-
     t1_coeff = ring_mul(one_minus_binv, norm, params)
-    term1 = e.act(t1_coeff, params) == d.act(ri * norm, params)
-
     t2_coeff = ring_mul(norm_minus_r, ramp, params)
-    term2 = e.act(t2_coeff, params).is_zero
-
     t3_coeff = ring_mul(one_minus_a, t1_coeff, params)
-    term3 = d.act(t3_coeff, params).is_zero
-
     t4_coeff = ring_mul(one_minus_a, t2_coeff, params)
-    term4 = d.act(t4_coeff, params) == d.act(square, params) - d.act(ri * norm, params)
-
-    return ReductionReport(total, term1, term2, term3, term4)
+    return {
+        # X_i w_i = D_i r_i^2
+        "total": x.act(w, params) == d.act(square, params),
+        # E_i (1 - b^-1) N = D_i N r
+        "power_norm_term": e.act(t1_coeff, params) == d.act(ri * norm, params),
+        # E_i (N - r) T = 0
+        "power_ramp_term": e.act(t2_coeff, params).is_zero,
+        # D_i (1 - a)(1 - b^-1) N = 0
+        "commutator_norm_term": d.act(t3_coeff, params).is_zero,
+        # D_i (1 - a)(N - r) T = D_i r^2 - D_i N r
+        "commutator_ramp_term":
+            d.act(t4_coeff, params) == d.act(square, params) - d.act(ri * norm, params),
+    }
 
 
 def lifted_generator(k: int, params: PresentationParams) -> RingVector:

@@ -477,7 +477,7 @@ def chain_export_from_json(obj: dict) -> ChainExport:
         return None if raw is None else RingMatrix(tuple(vector(row) for row in raw))
 
     return ChainExport(
-        params, vector(obj["d1"]), matrix(obj["d2"]),
+        params, matrix([[text] for text in obj["d1"]]), matrix(obj["d2"]),
         tuple(vector(row) for row in obj["d3"]), matrix(obj["P"]), matrix(obj["Q"]),
     )
 

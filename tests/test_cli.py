@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relcert import certificate, cli, foxcomplex
+from relcert import certificate, cli, foxcomplex, groupring, relmodule
 from relcert.cli import main, run_verification
 from relcert.freewords import PresentationParams
 from relcert.groupring import one
@@ -47,6 +47,49 @@ def test_verify_single_factor_skips(capsys):
     out = capsys.readouterr().out
     assert out.count("SKIP") == 3
     assert "result: PASS" in out
+
+
+IDENTITY_GROUPS = (
+    "  [ 2/11] {}  cyclic norm/ramp ring identities",
+    "  [ 3/11] {}  relation-module action identities",
+    "  [ 4/11] {}  square reduction identity (with four expansion terms)",
+)
+
+
+@pytest.mark.parametrize(
+    "module, name, factor, expected",
+    [
+        (groupring, "ramp_element", 2, [("FAIL", ["factor 2"]), ("PASS", []), ("PASS", [])]),
+        (relmodule, "reduction_multiplier", 2,
+         [("PASS", []), ("PASS", []), ("FAIL", ["factor 2: total"])]),
+        (relmodule, "ramp_element", 3,
+         [("PASS", []), ("PASS", []), ("FAIL", ["factor 3: total, commutator_ramp_term"])]),
+        (relmodule, "norm_element", 3, [
+            ("PASS", []),
+            ("FAIL", ["factor 3"]),
+            ("FAIL", ["factor 3: total, power_norm_term, power_ramp_term, "
+                      "commutator_norm_term, commutator_ramp_term"]),
+        ]),
+    ],
+)
+def test_verify_names_failing_identities(module, name, factor, expected, monkeypatch, capsys):
+    # Adding 1 to one factor's element falsifies the identities that read it
+    # through this module's binding, and those only.
+    original = getattr(module, name)
+
+    def bumped(i, params):
+        value = original(i, params)
+        return value + one() if i == factor else value
+
+    monkeypatch.setattr(module, name, bumped)
+    assert main(["verify", "--r", "2,3,5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(IDENTITY_GROUPS[0].format(expected[0][0]))
+    pinned = []
+    for header, (status, details) in zip(IDENTITY_GROUPS, expected):
+        pinned.append(header.format(status))
+        pinned += [f"        - {d}" for d in details]
+    assert lines[start:start + len(pinned)] == pinned
 
 
 def test_certificate_round_trip(tmp_path, capsys):
@@ -101,6 +144,23 @@ def test_check_cert_prints_details(tmp_path, capsys):
     details = [line for line in lines if line.startswith("        - ")]
     assert len(details) == len(items)
     assert lines[-1] == "certificate rejected: t congruences, s cofactors, t sum"
+
+
+def test_check_cert_far_apart_free_exponents(tmp_path, capsys):
+    # b1^(10^400) and b1^-(10^400) in one lambda entry: the file is rejected
+    # by name, without the product's cost estimate overflowing a float.
+    path = tmp_path / "cert.json"
+    assert main(["certificate", "--r", "5,7", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    far = 10**400
+    obj["lambda"][0][0] = " + ".join(
+        ["e", "a1", "b1", "a1 b1^2", f"b1^{far}", f"b1^-{far}", "a1^2 b1^3", "a1^3 b1^-2", "a1^4", "b1^5"]
+    )
+    path.write_text(json.dumps(obj))
+    assert main(["check-cert", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "D_1 reconstruction" in captured.out.splitlines()[-1]
+    assert captured.err == ""
 
 
 def test_check_cert_io_and_parse_errors(tmp_path, capsys):
@@ -243,15 +303,15 @@ def test_verify_reconstructs_each_family_once(monkeypatch):
 
 def test_verify_builds_d1_once(monkeypatch):
     calls = []
-    d1_vector = foxcomplex.d1_vector
+    d1_matrix = foxcomplex.d1_matrix
 
     def counting(*args):
         calls.append(1)
-        return d1_vector(*args)
+        return d1_matrix(*args)
 
-    # cli binds the name on import; d1_contract would look it up in foxcomplex.
-    monkeypatch.setattr(cli, "d1_vector", counting, raising=False)
-    monkeypatch.setattr(foxcomplex, "d1_vector", counting)
+    # cli binds the name on import; a foxcomplex caller would look it up there.
+    monkeypatch.setattr(cli, "d1_matrix", counting, raising=False)
+    monkeypatch.setattr(foxcomplex, "d1_matrix", counting)
     assert all(g.status == "pass" for g in run_verification(PresentationParams((2, 3, 5))))
     assert len(calls) == 1
 

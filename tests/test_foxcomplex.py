@@ -24,8 +24,7 @@ from relcert.foxcomplex import (
     c1_labels,
     c2_labels,
     compose,
-    d1_contract,
-    d1_vector,
+    d1_matrix,
     d2_matrix,
     fox_derivative,
     fundamental_identity_holds,
@@ -117,7 +116,7 @@ def test_starred_fox_row_matches_fox_derivative(case):
 @pytest.mark.parametrize("index", [0, 4])
 def test_fox_row_rejects_generator_index(index):
     # FreeWord(...) is trusted and skips from_letters' index check.
-    d1 = d1_vector(P235)
+    d1 = d1_matrix(P235)
     for kind in (agen, bgen):
         w = FreeWord(((agen(1), 2), (kind(index), 1)))
         with pytest.raises(ParameterError, match="out of range"):
@@ -141,22 +140,23 @@ def test_d2_entries():
 
 
 def test_d1_entries():
-    d1 = d1_vector(P23)
-    assert d1[0] == torsion_term(1, -1, P23) - one()
-    assert d1[1] == free_term(1, -1, P23) - one()
-    assert d1[3] == free_term(2, -1, P23) - one()
+    d1 = d1_matrix(P23)
+    assert d1.nrows == 4 and d1.ncols == 1
+    assert d1[0][0] == torsion_term(1, -1, P23) - one()
+    assert d1[1][0] == free_term(1, -1, P23) - one()
+    assert d1[3][0] == free_term(2, -1, P23) - one()
 
 
 def test_chain_condition():
     for p in (P23, P235, PresentationParams((7,))):
-        d1, d2 = d1_vector(p), d2_matrix(p)
+        d1, d2 = d1_matrix(p), d2_matrix(p)
         for row in d2.rows:
-            assert d1_contract(d1, row, p).is_zero
+            assert apply(d1, row, p).is_zero
 
 
 def test_fundamental_identity_random():
     rng = random.Random(43)
-    d1 = d1_vector(P235)
+    d1 = d1_matrix(P235)
     for _ in range(300):
         w = random_word(rng, 3)
         assert fundamental_identity_holds(w, d1, P235)
@@ -164,12 +164,12 @@ def test_fundamental_identity_random():
 
 def test_fundamental_identity_on_relators():
     # for relators the right-hand side is zero
-    d1 = d1_vector(P235)
+    d1 = d1_matrix(P235)
     for i in range(1, 4):
         row = starred_fox_row(commutator_relator(i), P235)
-        assert d1_contract(d1, row, P235).is_zero
+        assert apply(d1, row, P235).is_zero
         row = starred_fox_row(power_relator(i, P235), P235)
-        assert d1_contract(d1, row, P235).is_zero
+        assert apply(d1, row, P235).is_zero
 
 
 def test_apply():

@@ -147,7 +147,9 @@ def test_cyclic_identities():
     assert ring_mul(s, s, p2) == 2 * s
     for p in (p2, P3, P235):
         for i in range(1, p.n + 1):
-            assert check_cyclic_identities(i, p).ok
+            report = check_cyclic_identities(i, p)
+            assert list(report) == ["annihilation", "square_scaling", "ramp_difference"]
+            assert all(report.values())
 
 
 def test_scalar_multiplication():
@@ -595,6 +597,23 @@ def test_dispatch_declines_sparse_rows():
     assert not _packs(cells(rows(337), 1009), cells(rows(211), 1009), 1009)
     norm, ramp = norm_element(1, p), ramp_element(1, p)
     assert _packs(cells(norm, 1009), cells(ramp, 1009), 1009)
+
+
+def test_far_apart_free_exponents():
+    # b1^(10^400) and b1^-(10^400) in one operand: the packed layout would
+    # need 2 * 10^400 rows, a size whose cost estimate overflows a float.
+    p = PresentationParams((5, 7))
+    far = 10**400
+    x = from_terms(
+        (gmul(torsion_power(1, j % 5, p), free_power(1, m, p), p), j + 1)
+        for j, m in enumerate((0, 1, 2, -2, 3, far, -far, 5, -1, 4))
+    )
+    w = ring_mul(norm_element(1, p), ramp_element(1, p) + free_term(1, -3, p), p)
+    assert not _packs(cells(x, 5), cells(w, 5), 5)
+    y = w + ring_mul(w, torsion_term(2, 1, p), p)
+    xy, yx = ring_mul(x, y, p).terms, ring_mul(y, x, p).terms
+    assert xy == reference_mul(x.terms, y.terms, p)
+    assert yx == reference_mul(y.terms, x.terms, p)
 
 
 # ---------------------------------------------------------------------------

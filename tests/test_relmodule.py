@@ -81,7 +81,9 @@ def test_module_identities():
     assert d1.act(norm_element(1, P235), P235)[1].is_zero
     for p in FAMILIES:
         for i in range(1, p.n + 1):
-            assert check_module_identities(i, p).ok
+            report = check_module_identities(i, p)
+            assert list(report) == ["power_annihilated", "norm_transfer"]
+            assert all(report.values())
 
 
 def test_module_generators():
@@ -127,12 +129,15 @@ def test_reduction_reports():
     for p in FAMILIES + [PresentationParams((5,))]:
         for i in range(1, p.n + 1):
             report = check_reduction(i, p)
-            assert report.total
-            assert report.power_norm_term
-            assert report.power_ramp_term
-            assert report.commutator_norm_term
-            assert report.commutator_ramp_term
-            assert report.ok
+            assert report["total"]
+            assert report["power_norm_term"]
+            assert report["power_ramp_term"]
+            assert report["commutator_norm_term"]
+            assert report["commutator_ramp_term"]
+            assert list(report) == [
+                "total", "power_norm_term", "power_ramp_term",
+                "commutator_norm_term", "commutator_ramp_term",
+            ]
 
 
 def test_conjugation_consistency():
