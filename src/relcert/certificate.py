@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError, ParseError, VerificationError
 from .freewords import PresentationParams
@@ -43,14 +43,12 @@ from .relmodule import (
 CERTIFICATE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CrtData:
+class CrtData(namedtuple("CrtData", "t s")):
     """Integers t_i congruent to 1 mod r_i^2 and to 0 mod r_j^2 (j != i),
     canonical in [0, prod r_j^2), with the exact cofactors
     s_ij = (delta_ij - t_i) / r_j^2."""
 
-    t: tuple[int, ...]
-    s: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def crt_coefficients(params: PresentationParams) -> CrtData:
@@ -77,37 +75,42 @@ def crt_coefficients(params: PresentationParams) -> CrtData:
     return CrtData(tuple(t), tuple(s))
 
 
-@dataclass(frozen=True)
-class AddRightMultiple:
+class AddRightMultiple(namedtuple("AddRightMultiple", "src dst coeff")):
     """Elementary basis operation: row dst += row src * coeff.
 
     Inverse: subtract the same right multiple; requires src != dst."""
 
-    src: int
-    dst: int
-    coeff: RingElement
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.src == self.dst:
+    def __new__(cls, src: int, dst: int, coeff: RingElement):
+        if src == dst:
             raise ParameterError("elementary operation needs distinct rows")
-        if self.src < 0 or self.dst < 0:
+        if src < 0 or dst < 0:
             raise ParameterError("row indices must be nonnegative")
+        return super().__new__(cls, src, dst, coeff)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "params crt lam mu alpha basis_ops version",
+        defaults=(CERTIFICATE_VERSION,),
+    )
+):
     """All data needed to re-verify generation and the basis change.
 
-    lam[k][i] and mu[k][i] are the coefficients of generator k+1 in the
-    expansions of the commutator class i+1 and the power class i+1."""
+    lam and mu are (n+1) x n tuples of ring elements: lam[k][i] and
+    mu[k][i] are the coefficients of generator k+1 in the expansions of
+    the commutator class i+1 and the power class i+1.  alpha holds the
+    n-1 kernel elements over D1..Dn, E1..En, and basis_ops the
+    AddRightMultiple trace."""
 
-    params: PresentationParams
-    crt: CrtData
-    lam: tuple[tuple[RingElement, ...], ...]  # (n+1) x n
-    mu: tuple[tuple[RingElement, ...], ...]  # (n+1) x n
-    alpha: tuple[RingVector, ...]  # n-1 kernel elements, over D1..Dn, E1..En
-    basis_ops: tuple[AddRightMultiple, ...]
-    version: int = CERTIFICATE_VERSION
+    __slots__ = ()
 
 
 def _reconstruct(
@@ -304,15 +307,17 @@ def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRi
     return p, q, cert.basis_ops
 
 
-@dataclass(frozen=True)
-class SplittingReport:
-    """How the 3-cell boundary sits inside C2 after the basis change."""
+class SplittingReport(
+    namedtuple(
+        "SplittingReport",
+        "boundary_composite_zero inclusion_normalized three_cells lifted_generators total_rank",
+    )
+):
+    """How the 3-cell boundary sits inside C2 after the basis change:
+    whether d2 after the 3-cell boundary vanishes, whether the 3-cell rows
+    become the first unit vectors, and the ranks n - 1, n + 1 and 2n."""
 
-    boundary_composite_zero: bool  # d2 after the 3-cell boundary vanishes
-    inclusion_normalized: bool  # 3-cell rows become the first unit vectors
-    three_cells: int  # n - 1
-    lifted_generators: int  # n + 1
-    total_rank: int  # 2n
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -356,22 +361,18 @@ def euler_characteristic(n: int) -> int:
     return 1 - 2 * n + 2 * n - (n - 1)
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckItem = namedtuple("CheckItem", "name passed detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    accepted: bool
-    items: tuple[CheckItem, ...]
-    # The (P, Q) pair the basis items checked; None when n = 1 or when the
-    # trace does not reach a permutation, so that no Q can be read off.
-    basis: tuple[RingMatrix, RingMatrix] | None = None
-    # The d2 the alpha kernel items applied; None when n = 1.
-    d2: RingMatrix | None = None
+class CheckReport(
+    namedtuple("CheckReport", "accepted items basis d2", defaults=(None, None))
+):
+    """The verdict and its CheckItems.  basis is the (P, Q) pair the basis
+    items checked; None when n = 1 or when the trace does not reach a
+    permutation, so that no Q can be read off.  d2 is the matrix the alpha
+    kernel items applied; None when n = 1."""
+
+    __slots__ = ()
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -636,16 +637,11 @@ def check_certificate_json(obj) -> CheckReport:
 # ---------------------------------------------------------------------------
 # chain-level export
 
-@dataclass(frozen=True)
-class ChainExport:
-    """The boundary data of the 3-complex, with the basis change when n >= 2."""
+class ChainExport(namedtuple("ChainExport", "params d1 d2 d3 p q")):
+    """The boundary data of the 3-complex: d1, d2 and the n-1 rows of d3,
+    with the basis change (p, q) when n >= 2 and None for both otherwise."""
 
-    params: PresentationParams
-    d1: RingMatrix
-    d2: RingMatrix
-    d3: tuple[RingVector, ...]
-    p: RingMatrix | None
-    q: RingMatrix | None
+    __slots__ = ()
 
     @property
     def euler(self) -> int:

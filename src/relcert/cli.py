@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError, ParseError, VerificationError
 from .freewords import PresentationParams, parse_word, random_word, verify_free_identities
@@ -44,11 +43,7 @@ FOX_SAMPLE = 200
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 
-@dataclass(frozen=True)
-class CheckGroup:
-    name: str
-    status: str
-    details: tuple[str, ...] = ()
+CheckGroup = namedtuple("CheckGroup", "name status details", defaults=((),))
 
 
 def _group(name: str, ok: bool, failures: tuple[str, ...] = ()) -> CheckGroup:
@@ -59,6 +54,8 @@ def run_verification(
     params: PresentationParams, seed: int = DEFAULT_SEED, sample: int = FOX_SAMPLE
 ) -> list[CheckGroup]:
     """Run the full check battery; pure (no I/O)."""
+    import random  # only here, so that the other commands never load it
+
     n = params.n
     groups: list[CheckGroup] = []
 

@@ -8,9 +8,8 @@ like a_i^r stay O(1) in size and equality is a tuple comparison.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import ParameterError, ParseError
 
@@ -19,11 +18,10 @@ KIND_FREE = "b"
 _KINDS = (KIND_TORSION, KIND_FREE)
 
 
-class Generator(NamedTuple):
+class Generator(namedtuple("Generator", "kind index")):
     """One free generator: kind "a" (torsion) or "b" (free), 1-based index."""
 
-    kind: str
-    index: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
@@ -46,29 +44,33 @@ def generators(n: int) -> list[Generator]:
     return out
 
 
-@dataclass(frozen=True)
-class PresentationParams:
+class PresentationParams(namedtuple("PresentationParams", "r")):
     """Torsion orders r1, ..., rn; factor i of the free product is C_{r_i} x Z.
 
     The orders must all be >= 2 and pairwise coprime.
     """
 
-    r: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.r, tuple):
-            object.__setattr__(self, "r", tuple(self.r))
-        if not self.r:
+    def __new__(cls, r: Iterable[int]):
+        r = tuple(r)
+        if not r:
             raise ParameterError("need at least one factor (empty r)")
-        for i, ri in enumerate(self.r):
+        for i, ri in enumerate(r):
             if not isinstance(ri, int) or ri < 2:
                 raise ParameterError(f"r[{i}]={_brief(ri)} must be an integer >= 2")
-        for i in range(len(self.r)):
-            for j in range(i + 1, len(self.r)):
-                if math.gcd(self.r[i], self.r[j]) != 1:
+        for i in range(len(r)):
+            for j in range(i + 1, len(r)):
+                if math.gcd(r[i], r[j]) != 1:
                     raise ParameterError(
-                        f"r[{i}]={_brief(self.r[i])} and r[{j}]={_brief(self.r[j])} not coprime"
+                        f"r[{i}]={_brief(r[i])} and r[{j}]={_brief(r[j])} not coprime"
                     )
+        return super().__new__(cls, r)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip __new__.
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -182,14 +184,15 @@ def power_relator(i: int, params: PresentationParams) -> FreeWord:
 
 def conjugate_power_product(i: int, params: PresentationParams) -> FreeWord:
     """Product of the a_i-power conjugates of the commutator relator,
-    (a_i^-1 R a_i)(a_i^-2 R a_i^2)...(a_i^-r R a_i^r)."""
+    (a_i^-1 R a_i)(a_i^-2 R a_i^2)...(a_i^-r R a_i^r), reduced in one pass
+    over the raw letters of all r conjugates."""
     r = params.order(i)
-    rel = commutator_relator(i)
-    a = single(agen(i))
-    out = EMPTY_WORD
-    for j in range(1, r + 1):
-        out = out * rel.conjugate_by(a**j)
-    return out
+    a, b = agen(i), bgen(i)
+    return FreeWord.from_letters(
+        letter
+        for j in range(1, r + 1)
+        for letter in ((a, -j), (a, 1), (b, 1), (a, -1), (b, -1), (a, j))
+    )
 
 
 def telescoped_power_product(i: int, params: PresentationParams) -> FreeWord:

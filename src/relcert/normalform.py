@@ -9,16 +9,15 @@ A GroupElement is that tuple, so it hashes and compares as a plain tuple.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ParameterError
 from .freewords import KIND_TORSION, FreeWord, PresentationParams
 
 
-class Syllable(NamedTuple):
-    factor: int
-    k: int  # torsion exponent, reduced into [0, r_factor)
-    m: int  # free exponent
+# One-factor syllable a_factor^k b_factor^m: k is the torsion exponent,
+# reduced into [0, r_factor), and m the free exponent.
+Syllable = namedtuple("Syllable", "factor k m")
 
 
 class GroupElement(tuple):

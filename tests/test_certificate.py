@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -225,7 +224,7 @@ def test_column_replay_matches_compose_on_tampered_traces(orders):
     p, q = check_certificate(cert).basis
     expected = compose(p, q, params)
     assert expected == RingMatrix.identity(2 * params.n)
-    report = check_certificate(dataclasses.replace(cert, basis_ops=tampered))
+    report = check_certificate(cert._replace(basis_ops=tampered))
     assert report.accepted and report.basis == (p, q)
     for ops in (cert.basis_ops, tampered):
         positions = permutation_of_identity(replay(ops, p, params))

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -378,3 +381,17 @@ def test_check_cert_long_json_integer_exit_2(tmp_path, capsys):
 def test_normalize_long_integer_exit_2(word, column, capsys):
     assert main(["normalize", word, "--r", "2,3"]) == 2
     assert f"(column {column})" in capsys.readouterr().err
+
+
+def test_import_loads_no_heavy_modules():
+    # Every command pays for what `import relcert.cli` loads.  -S keeps out
+    # what site-packages .pth files would load first.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import relcert.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'random'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

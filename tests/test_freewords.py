@@ -138,6 +138,30 @@ def test_free_identity_words_at_r2():
     assert torsion_relator_commutator(1, p).is_identity
 
 
+def _conjugate_power_product_by_products(i, params):
+    # The definition, one conjugate product at a time with a_i^j by repeated
+    # squaring: the oracle of the one-pass conjugate_power_product.
+    rel = commutator_relator(i)
+    a = single(agen(i))
+    out = EMPTY_WORD
+    for j in range(1, params.order(i) + 1):
+        out = out * rel.conjugate_by(a**j)
+    return out
+
+
+def test_conjugate_power_product_matches_successive_products():
+    for r in range(2, 61):
+        p = PresentationParams((r,))
+        assert conjugate_power_product(1, p) == _conjugate_power_product_by_products(1, p)
+    p = PresentationParams((61, 67))
+    for i in (1, 2):
+        assert conjugate_power_product(i, p) == _conjugate_power_product_by_products(i, p)
+        r = p.order(i)
+        assert conjugate_power_product(i, p).letters == (
+            (bgen(i), 1), (agen(i), -r), (bgen(i), -1), (agen(i), r)
+        )
+
+
 def test_verify_free_identities():
     assert verify_free_identities(1, PresentationParams((5,)))
     for r in [(2, 3), (2, 3, 5), (3, 4, 5)]:
