@@ -32,13 +32,7 @@ from .groupring import (
     RingElement, one, parse_ring, ring_mul, ring_to_text, torsion_term, zero
 )
 from .normalform import GroupElement
-from .relmodule import (
-    commutator_image,
-    lifted_generator,
-    module_generator,
-    power_image,
-    reduction_multiplier,
-)
+from .relmodule import lifted_generator, module_generator, reduction_multiplier
 
 CERTIFICATE_VERSION = 1
 
@@ -369,8 +363,9 @@ class CheckReport(
 ):
     """The verdict and its CheckItems.  basis is the (P, Q) pair the basis
     items checked; None when n = 1 or when the trace does not reach a
-    permutation, so that no Q can be read off.  d2 is the matrix the alpha
-    kernel items applied; None when n = 1."""
+    permutation, so that no Q can be read off.  d2 is the matrix the
+    reconstruction and alpha kernel items read, for every n.  The report
+    of check_certificate_json carries neither."""
 
     __slots__ = ()
 
@@ -416,26 +411,26 @@ def check_relations(cert: Certificate) -> CheckReport:
     ok = sum(cert.crt.t) % big == 1 % big
     items.append(CheckItem("t sum", ok, "sum of t_i = 1 mod prod r_j^2"))
 
+    # Rows 1..n of d2 are the commutator classes D_i, rows n+1..2n the
+    # power classes E_i.
+    d2 = d2_matrix(params)
     gens = [module_generator(k, params) for k in range(1, n + 2)]
-    for family, coeffs, image, detail in (
-        ("D", cert.lam, commutator_image, "sum_k X_k lambda_ki equals the commutator class"),
-        ("E", cert.mu, power_image, "sum_k X_k mu_ki equals the power class"),
+    for family, coeffs, classes, detail in (
+        ("D", cert.lam, d2.rows[:n], "sum_k X_k lambda_ki equals the commutator class"),
+        ("E", cert.mu, d2.rows[n:], "sum_k X_k mu_ki equals the power class"),
     ):
-        for i in range(1, n + 1):
+        for i, image in enumerate(classes, start=1):
             got = _reconstruct(gens, [coeffs[k][i - 1] for k in range(n + 1)], params)
-            items.append(CheckItem(f"{family}_{i} reconstruction", got == image(i, params), detail))
+            items.append(CheckItem(f"{family}_{i} reconstruction", got == image, detail))
 
-    d2 = None
-    if n >= 2:
-        d2 = d2_matrix(params)
-        for i, a in enumerate(cert.alpha, start=1):
-            items.append(
-                CheckItem(
-                    f"alpha_{i} kernel",
-                    apply(d2, a, params).is_zero,
-                    "boundary of the 3-cell attaching element vanishes",
-                )
+    for i, a in enumerate(cert.alpha, start=1):
+        items.append(
+            CheckItem(
+                f"alpha_{i} kernel",
+                apply(d2, a, params).is_zero,
+                "boundary of the 3-cell attaching element vanishes",
             )
+        )
     return CheckReport(all(item.passed for item in items), tuple(items), d2=d2)
 
 
@@ -564,39 +559,24 @@ def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
     )
     crt = CrtData(tuple(t), tuple(tuple(row) for row in s))
 
-    def coeff_matrix(name: str) -> tuple[tuple[RingElement, ...], ...]:
+    def coeff_matrix(name: str, nrows: int, ncols: int) -> tuple[tuple[RingElement, ...], ...]:
         raw = obj.get(name)
         _require(
-            isinstance(raw, list) and len(raw) == n + 1
-            and all(isinstance(row, list) and len(row) == n for row in raw),
-            f"field '{name}' must be a {n + 1}x{n} matrix of ring-element strings",
+            isinstance(raw, list) and len(raw) == nrows
+            and all(isinstance(row, list) and len(row) == ncols for row in raw),
+            f"field '{name}' must be a {nrows}x{ncols} matrix of ring-element strings",
         )
         return tuple(
             tuple(
                 _parse_ring_field(raw[k][i], params, f"{name}[{k}][{i}]", words)
-                for i in range(n)
+                for i in range(ncols)
             )
-            for k in range(n + 1)
+            for k in range(nrows)
         )
 
-    lam = coeff_matrix("lambda")
-    mu = coeff_matrix("mu")
-
-    raw_alpha = obj.get("alpha")
-    _require(
-        isinstance(raw_alpha, list) and len(raw_alpha) == n - 1
-        and all(isinstance(row, list) and len(row) == 2 * n for row in raw_alpha),
-        f"field 'alpha' must be a {n - 1}x{2 * n} matrix of ring-element strings",
-    )
-    alpha = tuple(
-        RingVector(
-            tuple(
-                _parse_ring_field(raw_alpha[i][j], params, f"alpha[{i}][{j}]", words)
-                for j in range(2 * n)
-            )
-        )
-        for i in range(n - 1)
-    )
+    lam = coeff_matrix("lambda", n + 1, n)
+    mu = coeff_matrix("mu", n + 1, n)
+    alpha = tuple(RingVector(row) for row in coeff_matrix("alpha", n - 1, 2 * n))
 
     raw_ops = obj.get("basis_ops")
     _require(isinstance(raw_ops, list), "field 'basis_ops' must be a list")
@@ -653,8 +633,7 @@ def build_chain_export(params: PresentationParams) -> ChainExport:
     cert = build_certificate(params)
     report = require_accepted(check_certificate(cert))
     p, q = report.basis or (None, None)
-    d2 = report.d2 if report.d2 is not None else d2_matrix(params)
-    return ChainExport(params, d1_matrix(params), d2, cert.alpha, p, q)
+    return ChainExport(params, d1_matrix(params), report.d2, cert.alpha, p, q)
 
 
 def _matrix_texts(m: RingMatrix) -> list[list[str]]:

@@ -76,15 +76,15 @@ def run_verification(
                 bad.append(f"factor {i}: {', '.join(failing)}" if named else f"factor {i}")
         groups.append(_group(name, not bad, tuple(bad)))
 
-    # The certificate check builds d2 for its kernel items; the chain
-    # condition reads that matrix, so the check runs first.
+    # The certificate check builds d2 for its reconstruction and kernel
+    # items; the chain condition reads that matrix, so the check runs first.
     name = "generation certificate build and recheck"
     try:
         report = check_certificate(build_certificate(params))
         certificate_group = _group(name, report.accepted, report.failures)
     except VerificationError as exc:
         report, certificate_group = None, _group(name, False, (str(exc),))
-    d2 = report.d2 if report is not None and report.d2 is not None else d2_matrix(params)
+    d2 = report.d2 if report is not None else d2_matrix(params)
 
     d1 = d1_matrix(params)
     ok = all(apply(d1, row, params).is_zero for row in d2.rows)

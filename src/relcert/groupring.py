@@ -436,13 +436,15 @@ def parse_ring(
     way in, so any valid spelling of a term is accepted; a '-' ends a term
     unless it immediately follows '^'.
 
-    Each term is read by one match of _TERM, its word by _WORD and
-    _LETTER, folding the letters straight into syllable normal form.  A
-    term those patterns refuse (or whose digits int() refuses) is read
-    again by _scan_term, which raises the error at its column or returns
-    what it accepts.  `words` maps word text to its element and is filled
-    as words are read; one dict may serve every string read with the same
-    params, and with no others."""
+    Each term is split by one match of _TERM.  A coefficient the pattern
+    does not take (digits with no '*' right after them, digits outside
+    ASCII, a run past int()'s 4300-digit limit) is read by scan_int, which
+    names the fault and its column.  A word is read by _WORD and _LETTER,
+    folding the letters straight into syllable normal form; a word those
+    refuse is read by parse_word and project, which name its fault.
+    `words` maps word text to its element and is filled as words are read;
+    one dict may serve every string read with the same params, and with
+    no others."""
     s = text
     size = len(s)
     pos = 0
@@ -467,20 +469,34 @@ def parse_ring(
     while True:
         term = _TERM.match(s, pos)
         digits, word, end = term.groups()
+        stop = term.start(3)
+        wstart = term.start(2)
+        coeff = 1
+        if digits:
+            try:
+                coeff = int(digits)
+            except ValueError:  # a digit run past int()'s 4300-digit limit
+                scan_int(s, term.start(1))  # raises at its column
+        elif word[:1].isdigit():  # no '*' right after the digits, or not ASCII
+            coeff, wstart = scan_int(s, wstart)
+            if s[wstart:wstart + 1] != "*":
+                raise ParseError("expected '*' between coefficient and group word", wstart + 1)
+            wstart += 1
+            word = s[wstart:stop]
+        elif not (word or end):
+            raise ParseError("expected a term", stop + 1)
         g = words.get(word)
-        try:
-            coeff = int(digits) if digits else 1
-            if g is None:
-                g = _read_word(word, params)
-                if g is not None:
-                    words[word] = g
-        except ValueError:  # a digit run past int()'s 4300-digit limit
-            g = None
         if g is None:
-            g, coeff, stop = _scan_term(s, pos, params)
-            end = s[stop:stop + 1]
-        else:
-            stop = term.start(3)
+            try:
+                g = _read_word(word, params)
+            except ValueError:  # a digit run past int()'s 4300-digit limit
+                g = None
+            if g is None:
+                try:
+                    g = project(parse_word(word, params.n), params)
+                except ParseError as exc:
+                    raise ParseError(exc.raw_message, wstart + exc.column) from None
+            words[word] = g
         terms.append((g, sign * coeff))
         if not end:
             return from_terms(terms)
@@ -490,9 +506,11 @@ def parse_ring(
 
 # One term: whitespace, a coefficient of ASCII digits with its '*' right
 # after them, the word text, and the '+' or '-' that ends the term (a '-'
-# right after '^' is an exponent's sign) or the end of the text.  The word
-# runs to the first such '+' or '-', so the pattern matches at every
-# position on its first, greedy try and never backtracks.
+# right after '^' is an exponent's sign) or the end of the text.  Digits
+# the coefficient group does not take start the word text, where
+# parse_ring reads them with scan_int.  The word runs to the first such
+# '+' or '-', so the pattern matches at every position on its first,
+# greedy try and never backtracks.
 _TERM = re.compile(r"\s*(?:([0-9]+)\*)?([^+\-^]*(?:\^-?[^+\-^]*)*)([+-]|\Z)")
 # A word _read_word takes: separators (whitespace and '*') around 'e' or
 # around letters a<i>, b<i> with an optional exponent '^-<k>' or '^<k>',
@@ -522,33 +540,3 @@ def _read_word(word: str, params: PresentationParams) -> GroupElement | None:
         else:
             _append_syllable(stack, i, 0, e, ri)
     return GroupElement(stack)
-
-
-def _scan_term(s: str, pos: int, params: PresentationParams) -> tuple[GroupElement, int, int]:
-    """The term at s[pos:] read character by character: its element, its
-    coefficient, and the position of the '+' or '-' that ends it (len(s)
-    at the end).  Raises ParseError at the column of the first fault."""
-    size = len(s)
-    while pos < size and s[pos].isspace():
-        pos += 1
-    if pos == size:
-        raise ParseError("expected a term", pos + 1)
-    coeff = 1
-    if s[pos].isdigit():
-        coeff, pos = scan_int(s, pos)
-        if pos < size and s[pos] == "*":
-            pos += 1
-        else:
-            raise ParseError("expected '*' between coefficient and group word", pos + 1)
-    wstart = pos
-    while pos < size:
-        ch = s[pos]
-        if ch == "+" or (ch == "-" and s[pos - 1] != "^"):
-            break
-        pos += 1
-    try:
-        w = parse_word(s[wstart:pos], params.n)
-    except ParseError as exc:
-        col = wstart + exc.column if exc.column is not None else None
-        raise ParseError(exc.raw_message, col) from None
-    return project(w, params), coeff, pos

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcert import certificate, cli
+from relcert import certificate, cli, foxcomplex, relmodule
 from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams
 from relcert.foxcomplex import RingMatrix, RingVector, apply, compose, d2_matrix
@@ -35,6 +35,7 @@ from test_groupring import random_ring, syllable_elements
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
+P7 = PresentationParams((7,))
 FAMILIES = [P23, P235, PresentationParams((3, 4, 5))]
 
 
@@ -111,6 +112,27 @@ def test_single_factor_degenerates():
     assert module_generator(2, p) == commutator_image(1, p)
     assert cert.alpha == ()
     assert cert.basis_ops == ()
+
+
+def test_check_report_carries_d2_for_one_factor():
+    assert check_certificate(build_certificate(P7)).d2 == d2_matrix(P7)
+
+
+def test_check_builds_fifteen_starred_rows(monkeypatch):
+    cert = build_certificate(P235)
+    calls = []
+    starred_fox_row = foxcomplex.starred_fox_row
+
+    def counting(*args):
+        calls.append(1)
+        return starred_fox_row(*args)
+
+    # relmodule binds the name on import; d2_matrix looks it up in foxcomplex.
+    monkeypatch.setattr(relmodule, "starred_fox_row", counting)
+    monkeypatch.setattr(foxcomplex, "starred_fox_row", counting)
+    assert check_certificate(cert).accepted
+    # n + 1 generators make 2n + n rows; d2 makes 2n, which the D/E items read.
+    assert len(calls) == 15
 
 
 def test_kernel_elements():

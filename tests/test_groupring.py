@@ -315,6 +315,15 @@ QUIRKS = [
     ("a1^ -2", "expected exponent digits after '^' (column 4)"),
     ("a1\x1c+\x1cb1", torsion_term(1, 1, P3) + free_term(1, 1, P3)),  # isspace
     ("e*\t", one()),
+    ("a1 +", "expected a term (column 5)"),  # the text ends where a term should start
+    ("a1 + + a2", "empty word text; write 'e' for the identity (column 6)"),
+    ("a1 + 2 *a2", "expected '*' between coefficient and group word (column 7)"),
+    pytest.param(
+        "9" * 4301 + "*a1",
+        "integer literal is not decimal or too long (column 1)",
+        id="4301-digit coefficient",
+    ),
+    ("a1 + ٣*b1", torsion_term(1, 1, P3) + 3 * free_term(1, 1, P3)),
 ]
 
 
