@@ -29,7 +29,7 @@ from .foxcomplex import (
     d2_matrix,
 )
 from .groupring import (
-    RingElement, one, parse_ring, ring_mul, ring_to_text, torsion_term, zero
+    RingElement, one, parse_ring, ring_mul, ring_to_text, torsion_term
 )
 from .normalform import GroupElement
 from .relmodule import lifted_generator, module_generator, reduction_multiplier
@@ -123,16 +123,9 @@ def _alpha_coords(
 ) -> RingVector:
     # alpha_i = D_i - sum_k Xhat_k * lam[k][i], written over D1..Dn, E1..En.
     n = params.n
-    entries = [zero() for _ in range(2 * n)]
-    top = lam[n][i - 1]
-    for j in range(1, n + 1):
-        shear = one() - torsion_term(j, 1, params)
-        d_coord = -ring_mul(shear, lam[j - 1][i - 1], params) - top
-        if j == i:
-            d_coord = one() + d_coord
-        entries[j - 1] = d_coord
-        entries[n + j - 1] = -lam[j - 1][i - 1]
-    return RingVector(tuple(entries))
+    lifted = RingMatrix(tuple(lifted_generator(k, params) for k in range(1, n + 2)))
+    column = RingVector(tuple(row[i - 1] for row in lam))
+    return RingVector.unit(2 * n, i - 1) - apply(lifted, column, params)
 
 
 def _basis_ops(
@@ -172,17 +165,13 @@ def build_certificate(params: PresentationParams) -> Certificate:
     lam_rows.append(tuple(crt.t[i - 1] * one() for i in range(1, n + 1)))
     lam = tuple(lam_rows)
 
-    mu_rows: list[tuple[RingElement, ...]] = []
-    for j in range(1, n + 2):
-        row = []
-        for i in range(1, n + 1):
-            shear = one() - torsion_term(i, 1, params)
-            entry = -ring_mul(lam[j - 1][i - 1], shear, params)
-            if j == i:
-                entry = one() + entry
-            row.append(entry)
-        mu_rows.append(tuple(row))
-    mu = tuple(mu_rows)
+    # E_i = X_i - D_i (1 - a_i): column i of mu is e_i - (column i of lam)(1 - a_i).
+    mu_columns = []
+    for i in range(1, n + 1):
+        shear = one() - torsion_term(i, 1, params)
+        lam_column = RingVector(tuple(row[i - 1] for row in lam))
+        mu_columns.append(RingVector.unit(n + 1, i - 1) - lam_column.act(shear, params))
+    mu = tuple(zip(*(column.entries for column in mu_columns)))
 
     alphas = tuple(_alpha_coords(i, lam, params) for i in range(1, n))
     ops = _basis_ops(lam, params) if n >= 2 else ()
@@ -414,7 +403,7 @@ def check_relations(cert: Certificate) -> CheckReport:
     # Rows 1..n of d2 are the commutator classes D_i, rows n+1..2n the
     # power classes E_i.
     d2 = d2_matrix(params)
-    gens = [module_generator(k, params) for k in range(1, n + 2)]
+    gens = [module_generator(k, d2, params) for k in range(1, n + 2)]
     for family, coeffs, classes, detail in (
         ("D", cert.lam, d2.rows[:n], "sum_k X_k lambda_ki equals the commutator class"),
         ("E", cert.mu, d2.rows[n:], "sum_k X_k mu_ki equals the power class"),

@@ -59,25 +59,8 @@ def run_verification(
     n = params.n
     groups: list[CheckGroup] = []
 
-    ok = all(verify_free_identities(i, params) for i in range(1, n + 1))
-    groups.append(_group("free-relator conjugation identities", ok))
-
-    # Each check returns its verdicts by name; the reduction group names the
-    # failing ones.
-    for name, check, named in (
-        ("cyclic norm/ramp ring identities", check_cyclic_identities, False),
-        ("relation-module action identities", check_module_identities, False),
-        ("square reduction identity (with four expansion terms)", check_reduction, True),
-    ):
-        bad = []
-        for i in range(1, n + 1):
-            failing = [key for key, ok in check(i, params).items() if not ok]
-            if failing:
-                bad.append(f"factor {i}: {', '.join(failing)}" if named else f"factor {i}")
-        groups.append(_group(name, not bad, tuple(bad)))
-
-    # The certificate check builds d2 for its reconstruction and kernel
-    # items; the chain condition reads that matrix, so the check runs first.
+    # The certificate check builds the one d2 that the relator-class groups
+    # and the chain condition read, so it runs first; its group keeps its place.
     name = "generation certificate build and recheck"
     try:
         report = check_certificate(build_certificate(params))
@@ -85,6 +68,26 @@ def run_verification(
     except VerificationError as exc:
         report, certificate_group = None, _group(name, False, (str(exc),))
     d2 = report.d2 if report is not None else d2_matrix(params)
+
+    ok = all(verify_free_identities(i, params) for i in range(1, n + 1))
+    groups.append(_group("free-relator conjugation identities", ok))
+
+    # Each check returns its verdicts by name; the reduction group names the
+    # failing ones.
+    for name, check, named in (
+        ("cyclic norm/ramp ring identities",
+         lambda i: check_cyclic_identities(i, params), False),
+        ("relation-module action identities",
+         lambda i: check_module_identities(i, d2, params), False),
+        ("square reduction identity (with four expansion terms)",
+         lambda i: check_reduction(i, d2, params), True),
+    ):
+        bad = []
+        for i in range(1, n + 1):
+            failing = [key for key, ok in check(i).items() if not ok]
+            if failing:
+                bad.append(f"factor {i}: {', '.join(failing)}" if named else f"factor {i}")
+        groups.append(_group(name, not bad, tuple(bad)))
 
     d1 = d1_matrix(params)
     ok = all(apply(d1, row, params).is_zero for row in d2.rows)

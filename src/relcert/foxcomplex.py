@@ -218,7 +218,11 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
 
 def d2_matrix(params: PresentationParams) -> RingMatrix:
     """Second boundary map: 2n x 2n, rows D1..Dn then E1..En (relator classes),
-    columns a1, b1, ..., an, bn (edge classes)."""
+    columns a1, b1, ..., an, bn (edge classes).
+
+    D_i, the class of [a_i, b_i], has a_i-coordinate 1 - b_i^-1 and
+    b_i-coordinate a_i^-1 - 1; E_i, the class of a_i^{r_i}, has the norm
+    element N_i as its a_i-coordinate.  All other coordinates are zero."""
     n = params.n
     rows = [starred_fox_row(commutator_relator(i), params) for i in range(1, n + 1)]
     rows += [starred_fox_row(power_relator(i, params), params) for i in range(1, n + 1)]

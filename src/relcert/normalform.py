@@ -63,8 +63,9 @@ def project(w: FreeWord, params: PresentationParams) -> GroupElement:
     stack: list[Syllable] = []
     for gen, exp in w.letters:
         i = gen.index
-        if i > n:
-            raise ParameterError(f"generator index {i} exceeds n={n}")
+        if not 0 < i <= n:
+            bound = f"exceeds n={n}" if i > n else "is below 1"
+            raise ParameterError(f"generator index {i} {bound}")
         ri = r[i - 1]
         if gen.kind == KIND_TORSION:
             _append_syllable(stack, i, exp % ri, 0, ri)

@@ -7,6 +7,10 @@ abstract quotient presentation would not give us.  Elements of C2, written
 over the free basis D1..Dn, E1..En, are width-2n vectors too; which chain
 group a vector belongs to is fixed by the function that returns it.
 
+The n+1 distinguished generators are defined once, as C2 coordinates
+Xhat_k (lifted_generator), with X_k = d2(Xhat_k); every relator class
+D_i, E_i and generator X_k is read off the one d2 matrix a caller holds.
+
 The conjugation action of the group corresponds, in these coordinates, to
 entry-wise right multiplication (see the convention note in foxcomplex).
 That fact carries the whole embedding, so the test suite checks it
@@ -16,8 +20,8 @@ directly against freshly conjugated relators rather than assuming it.
 from __future__ import annotations
 
 from .errors import ParameterError
-from .freewords import PresentationParams, commutator_relator, power_relator
-from .foxcomplex import RingVector, starred_fox_row
+from .freewords import PresentationParams
+from .foxcomplex import RingMatrix, RingVector, apply
 from .groupring import (
     RingElement,
     free_term,
@@ -31,34 +35,11 @@ from .groupring import (
 from .normalform import IDENTITY
 
 
-def commutator_image(i: int, params: PresentationParams) -> RingVector:
-    """Module class of the commutator relator [a_i, b_i]: a_i-coordinate
-    1 - b_i^-1, b_i-coordinate a_i^-1 - 1, all others zero."""
-    params.check_index(i)
-    return starred_fox_row(commutator_relator(i), params)
-
-
-def power_image(i: int, params: PresentationParams) -> RingVector:
-    """Module class of the torsion relator a_i^{r_i}: a_i-coordinate is the
-    norm element, all others zero."""
-    params.check_index(i)
-    return starred_fox_row(power_relator(i, params), params)
-
-
-def module_generator(k: int, params: PresentationParams) -> RingVector:
-    """The k-th of the n+1 distinguished generators: for k <= n the power
-    class plus the commutator class times (1 - a_k); for k = n+1 the sum
-    of all commutator classes."""
-    n = params.n
-    if not 1 <= k <= n + 1:
-        raise ParameterError(f"generator index {k} out of range 1..{n + 1}")
-    if k <= n:
-        shear = one() - torsion_term(k, 1, params)
-        return power_image(k, params) + commutator_image(k, params).act(shear, params)
-    total = commutator_image(1, params)
-    for i in range(2, n + 1):
-        total = total + commutator_image(i, params)
-    return total
+def module_generator(k: int, d2: RingMatrix, params: PresentationParams) -> RingVector:
+    """The k-th of the n+1 distinguished generators, X_k = d2(Xhat_k) with
+    d2 = d2_matrix(params): for k <= n the power class plus the commutator
+    class times (1 - a_k); for k = n+1 the sum of all commutator classes."""
+    return apply(d2, lifted_generator(k, params), params)
 
 
 def reduction_multiplier(i: int, params: PresentationParams) -> RingElement:
@@ -74,11 +55,12 @@ def reduction_multiplier(i: int, params: PresentationParams) -> RingElement:
     return left + right
 
 
-def check_module_identities(i: int, params: PresentationParams) -> dict[str, bool]:
-    """The two defining identities of the relator classes in the module,
-    each verdict under its name."""
-    d = commutator_image(i, params)
-    e = power_image(i, params)
+def check_module_identities(i: int, d2: RingMatrix, params: PresentationParams) -> dict[str, bool]:
+    """The two defining identities of the relator classes D_i = d2[i - 1]
+    and E_i = d2[n + i - 1] in the module, each verdict under its name."""
+    params.check_index(i)
+    d = d2[i - 1]
+    e = d2[params.n + i - 1]
     ann = e.act(one() - torsion_term(i, 1, params), params)
     lhs = d.act(norm_element(i, params), params)
     rhs = e.act(one() - free_term(i, -1, params), params)
@@ -88,13 +70,13 @@ def check_module_identities(i: int, params: PresentationParams) -> dict[str, boo
     }
 
 
-def check_reduction(i: int, params: PresentationParams) -> dict[str, bool]:
+def check_reduction(i: int, d2: RingMatrix, params: PresentationParams) -> dict[str, bool]:
     """X_i w_i = D_i r_i^2, together with its four expansion terms, each
-    verdict under its name."""
-    ri = params.order(i)
-    d = commutator_image(i, params)
-    e = power_image(i, params)
-    x = module_generator(i, params)
+    verdict under its name; D_i, E_i and X_i are read off d2."""
+    ri = params.order(i)  # checks i first
+    d = d2[i - 1]
+    e = d2[params.n + i - 1]
+    x = module_generator(i, d2, params)
     w = reduction_multiplier(i, params)
     norm = norm_element(i, params)
     ramp = ramp_element(i, params)
@@ -122,8 +104,9 @@ def check_reduction(i: int, params: PresentationParams) -> dict[str, bool]:
 
 
 def lifted_generator(k: int, params: PresentationParams) -> RingVector:
-    """The k-th distinguished generator lifted to C2 coordinates over the
-    free basis D1..Dn, E1..En."""
+    """Xhat_k, the k-th distinguished generator lifted to C2 coordinates over
+    the free basis D1..Dn, E1..En: (1 - a_k) at D_k and 1 at E_k for k <= n,
+    1 at every D_i for k = n+1.  The one definition of the generators."""
     n = params.n
     if not 1 <= k <= n + 1:
         raise ParameterError(f"generator index {k} out of range 1..{n + 1}")

@@ -319,6 +319,23 @@ def test_verify_builds_d1_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_builds_2n_starred_rows(monkeypatch):
+    calls = []
+    starred_fox_row = foxcomplex.starred_fox_row
+
+    def counting(*args):
+        calls.append(1)
+        return starred_fox_row(*args)
+
+    # A relmodule import would bind the name there; d2_matrix looks it up in foxcomplex.
+    monkeypatch.setattr(relmodule, "starred_fox_row", counting, raising=False)
+    monkeypatch.setattr(foxcomplex, "starred_fox_row", counting)
+    groups = run_verification(PresentationParams((2, 3, 5)), sample=0)
+    assert all(g.status == "pass" for g in groups)
+    # The one d2 of the certificate check; every other group reads its rows.
+    assert len(calls) == 2 * 3
+
+
 @pytest.mark.parametrize("command", ["certificate", "complex"])
 def test_built_certificate_fault_exits_1(command, monkeypatch, tmp_path, capsys):
     alpha_coords = certificate._alpha_coords

@@ -45,8 +45,11 @@ def test_project_example():
 
 
 def test_project_out_of_range():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="exceeds n=3"):
         project(FreeWord(((agen(4), 1),)), P235)
+    # factor 0 is no factor: without the check it reads r[-1]
+    with pytest.raises(ParameterError):
+        project(FreeWord(((agen(0), 1),)), P235)
 
 
 def test_project_homomorphism_random():

@@ -9,7 +9,7 @@ from relcert.freewords import (
     power_relator,
     random_word,
 )
-from relcert.foxcomplex import starred_fox_row
+from relcert.foxcomplex import d2_matrix, starred_fox_row
 from relcert.groupring import (
     free_term,
     group_term,
@@ -23,10 +23,8 @@ from relcert.normalform import project
 from relcert.relmodule import (
     check_module_identities,
     check_reduction,
-    commutator_image,
     lifted_generator,
     module_generator,
-    power_image,
     reduction_multiplier,
 )
 from test_groupring import star
@@ -34,19 +32,20 @@ from test_groupring import star
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
 FAMILIES = [P23, P235, PresentationParams((3, 4, 5))]
+D23, D235 = d2_matrix(P23), d2_matrix(P235)
 
 
 def test_commutator_image_coords():
-    d1 = commutator_image(1, P235)
+    d1 = D235[0]
     assert d1[0] == one() - free_term(1, -1, P235)
     assert d1[1] == torsion_term(1, -1, P235) - one()
     assert all(d1[j].is_zero for j in range(2, 6))
     # factor-2 class has no factor-1 support
-    assert commutator_image(2, P235)[0].is_zero
+    assert D235[1][0].is_zero
 
 
 def test_power_image_coords():
-    e1 = power_image(1, P235)
+    e1 = D235[P235.n]
     assert e1[0] == norm_element(1, P235)
     assert all(e1[j].is_zero for j in range(1, 6))
 
@@ -61,7 +60,7 @@ def test_act_unit_and_composition():
             pairs.append((project(random_word(rng, 3, max_len=5), P235), rng.randint(-3, 3)))
         return from_terms(pairs)
 
-    m = commutator_image(1, P235)
+    m = D235[0]
     assert m.act(one(), P235) == m
     for _ in range(60):
         lam = rand_ring()
@@ -71,9 +70,9 @@ def test_act_unit_and_composition():
 
 def test_module_identities():
     # E_i (1 - a_i) = 0 and D_i N_i = E_i (1 - b_i^-1)
-    e1 = power_image(1, P235)
+    e1 = D235[P235.n]
     assert e1.act(one() - torsion_term(1, 1, P235), P235).is_zero
-    d1 = commutator_image(1, P235)
+    d1 = D235[0]
     assert d1.act(norm_element(1, P235), P235) == e1.act(
         one() - free_term(1, -1, P235), P235
     )
@@ -81,13 +80,13 @@ def test_module_identities():
     assert d1.act(norm_element(1, P235), P235)[1].is_zero
     for p in FAMILIES:
         for i in range(1, p.n + 1):
-            report = check_module_identities(i, p)
+            report = check_module_identities(i, d2_matrix(p), p)
             assert list(report) == ["power_annihilated", "norm_transfer"]
             assert all(report.values())
 
 
 def test_module_generators():
-    x1 = module_generator(1, P235)
+    x1 = module_generator(1, D235, P235)
     shear = one() - torsion_term(1, 1, P235)
     expected_a1 = norm_element(1, P235) + ring_mul(
         one() - free_term(1, -1, P235), shear, P235
@@ -95,13 +94,13 @@ def test_module_generators():
     assert x1[0] == expected_a1
     assert x1[1] == ring_mul(torsion_term(1, -1, P235) - one(), shear, P235)
     # factor-2 generator has no factor-1 support
-    assert module_generator(2, P235)[1].is_zero
-    top = module_generator(P235.n + 1, P235)
+    assert module_generator(2, D235, P235)[1].is_zero
+    top = module_generator(P235.n + 1, D235, P235)
     for i in range(1, P235.n + 1):
         assert top[2 * (i - 1)] == one() - free_term(i, -1, P235)
         assert top[2 * (i - 1) + 1] == torsion_term(i, -1, P235) - one()
     with pytest.raises(ParameterError):
-        module_generator(P235.n + 2, P235)
+        module_generator(P235.n + 2, D235, P235)
 
 
 def test_reduction_multiplier_small():
@@ -119,16 +118,16 @@ def test_reduction_multiplier_small():
 
 def test_reduction_identity_r2():
     # X_1 w_1 = D_1 * 4 at r_1 = 2
-    x = module_generator(1, P23)
+    x = module_generator(1, D23, P23)
     w = reduction_multiplier(1, P23)
-    d = commutator_image(1, P23)
+    d = D23[0]
     assert x.act(w, P23) == d.act(4 * one(), P23)
 
 
 def test_reduction_reports():
     for p in FAMILIES + [PresentationParams((5,))]:
         for i in range(1, p.n + 1):
-            report = check_reduction(i, p)
+            report = check_reduction(i, d2_matrix(p), p)
             assert report["total"]
             assert report["power_norm_term"]
             assert report["power_ramp_term"]
@@ -149,28 +148,41 @@ def test_conjugation_consistency():
         g = random_word(rng, 3)
         coeff = group_term(project(g, P235))
         conj = commutator_relator(i).conjugate_by(g)
-        assert starred_fox_row(conj, P235) == commutator_image(i, P235).act(
-            coeff, P235
-        )
+        assert starred_fox_row(conj, P235) == D235[i - 1].act(coeff, P235)
         conj = power_relator(i, P235).conjugate_by(g)
-        assert starred_fox_row(conj, P235) == power_image(i, P235).act(
-            coeff, P235
-        )
+        assert starred_fox_row(conj, P235) == D235[P235.n + i - 1].act(coeff, P235)
 
 
 def test_images_are_the_boundary_rows():
-    # the embedded classes are literally the rows of the second boundary map
-    from relcert.foxcomplex import d2_matrix
-
-    for p in (P23, P235):
+    # the generators read through d2 from their C2 coordinates are the
+    # paper's X_k = E_k + D_k (1 - a_k) and X_{n+1} = D_1 + ... + D_n,
+    # written out here by hand from the rows of d2
+    for p in FAMILIES:
         d2 = d2_matrix(p)
-        for i in range(1, p.n + 1):
-            assert commutator_image(i, p) == d2[i - 1]
-            assert power_image(i, p) == d2[p.n + i - 1]
+        n = p.n
+        for k in range(1, n + 1):
+            shear = one() - torsion_term(k, 1, p)
+            expected = d2[n + k - 1] + d2[k - 1].act(shear, p)
+            assert module_generator(k, d2, p) == expected
+        total = d2[0]
+        for i in range(2, n + 1):
+            total = total + d2[i - 1]
+        assert module_generator(n + 1, d2, p) == total
+
+
+def test_row_reads_check_the_factor_index():
+    # without the check, i = 0 would read E_n through d2[-1]
+    for i in (0, P235.n + 1):
+        with pytest.raises(ParameterError):
+            check_module_identities(i, D235, P235)
+        with pytest.raises(ParameterError):
+            check_reduction(i, D235, P235)
+    with pytest.raises(ParameterError):
+        module_generator(0, D235, P235)
 
 
 def test_zero_detection():
-    d = commutator_image(1, P23)
+    d = D23[0]
     assert not d.is_zero
     assert (d - d).is_zero
     assert (d - d).width == 4
