@@ -133,7 +133,9 @@ def apply(m: RingMatrix, v: RingVector, params: PresentationParams) -> RingVecto
             vk = v.entries[k]
             entry = m.rows[k].entries[c]
             if vk.terms and entry.terms:
-                accumulate(acc, ring_mul(entry, vk, params).terms.items())
+                # ring_mul's dict is fresh, so an empty column may take it over.
+                product = ring_mul(entry, vk, params).terms
+                acc = accumulate(acc, product.items()) if acc else product
         cols.append(RingElement(acc))
     return RingVector(tuple(cols))
 
@@ -187,6 +189,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
     of g's factor merged in at the left.  fox_derivative is the per-generator
     reference for these columns."""
     cols: list[dict[GroupElement, int]] = [{} for _ in range(2 * params.n)]
+    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
     inv: tuple[Syllable, ...] = ()
     for g, e in w.letters:
         i = g.index
@@ -201,18 +204,19 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
         else:
             k0 = m0 = 0
             rest = inv
-
-        def left(j: int) -> tuple[Syllable, ...]:
-            """The syllables of g^-j inv."""
-            k, m = ((k0 - j) % r, m0) if torsion else (k0, m0 - j)
-            return (Syllable(i, k, m),) + rest if k or m else rest
-
+        col = cols[2 * i - 2 + (not torsion)]
         exponents, c = (range(e), 1) if e > 0 else (range(-1, e - 1, -1), -1)
-        accumulate(
-            cols[2 * i - 2 + (not torsion)],
-            ((GroupElement(left(j)), c) for j in exponents),
-        )
-        inv = left(e)
+        for j in exponents:
+            k, m = ((k0 - j) % r, m0) if torsion else (k0, m0 - j)
+            key = GroupElement((new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest)
+            # c has one sign per letter: v is 0 only where key holds -c.
+            v = col.get(key, 0) + c
+            if v:
+                col[key] = v
+            else:
+                del col[key]
+        k, m = ((k0 - e) % r, m0) if torsion else (k0, m0 - e)
+        inv = (new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest
     return RingVector(tuple(RingElement(col) for col in cols))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from operator import add
 
 from .errors import ParseError
@@ -321,6 +322,8 @@ def _kronecker_mul(xc, yc, r: int) -> dict[int, int]:
     x_lo, x_hi = min(xc) // stride, max(xc) // stride
     y_lo, y_hi = min(yc) // stride, max(yc) // stride
     width = _slot_width(xc, yc)
+    if width <= 8:  # round up to a machine width: 1, 2, 4 or 8 bytes
+        width = 1 << (width - 1).bit_length()
     rows = x_hi - x_lo + y_hi - y_lo + 1
     slots = _unpack(
         _pack(xc, x_lo * stride, (x_hi - x_lo + 1) * stride, width)
@@ -358,40 +361,64 @@ def _top_bits(nslots: int, width: int) -> int:
 def _pack(cells, origin: int, nslots: int, width: int) -> int:
     """The sum of c * 2^(8 * width * (s - origin)) over cells {s: c}.
 
-    The slots are first written in two's complement; flipping each slot's top
-    bit turns slot value c into c + 2^(8 * width - 1), and subtracting those
-    offsets leaves the signed sum."""
-    parts = [bytes(width)] * nslots
-    for s, c in cells.items():
-        parts[s - origin] = c.to_bytes(width, "little", signed=True)
+    The slots are first written in two's complement, through an array of
+    machine integers when width is a machine width (_TYPECODES); flipping
+    each slot's top bit turns slot value c into c + 2^(8 * width - 1), and
+    subtracting those offsets leaves the signed sum."""
+    typecode = _TYPECODES.get(width)
+    if typecode is None:  # wider than a machine integer
+        parts = [bytes(width)] * nslots
+        for s, c in cells.items():
+            parts[s - origin] = c.to_bytes(width, "little", signed=True)
+        raw = b"".join(parts)
+    else:
+        raw = array(typecode, bytes(nslots * width))
+        for s, c in cells.items():
+            raw[s - origin] = c
+        if sys.byteorder == "big":
+            raw.byteswap()
     top = _top_bits(nslots, width)
-    return (int.from_bytes(b"".join(parts), "little") ^ top) - top
+    return (int.from_bytes(raw, "little") ^ top) - top
 
 
-def _unpack(value: int, nslots: int, width: int) -> list[int]:
-    """The signed slots of value, inverse of _pack."""
+def _unpack(value: int, nslots: int, width: int):
+    """The signed slots of value, inverse of _pack, as a sequence of ints."""
     top = _top_bits(nslots, width)
     raw = ((value + top) ^ top).to_bytes(nslots * width, "little")
-    return [
-        int.from_bytes(raw[i:i + width], "little", signed=True)
-        for i in range(0, len(raw), width)
-    ]
+    typecode = _TYPECODES.get(width)
+    if typecode is None:
+        return [
+            int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, len(raw), width)
+        ]
+    slots = array(typecode, raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
+# The signed array typecode of each machine slot width, in bytes.
+_TYPECODES = {array(t).itemsize: t for t in "bhilq"}
 
 
 def norm_element(i: int, params: PresentationParams) -> RingElement:
     """Sum of all powers of the torsion generator: 1 + a_i + ... + a_i^{r_i - 1}."""
-    params.check_index(i)
-    return from_terms(
-        (torsion_power(i, j, params), 1) for j in range(params.r[i - 1])
-    )
+    return RingElement(dict.fromkeys((IDENTITY, *_torsion_powers(i, params)), 1))
 
 
 def ramp_element(i: int, params: PresentationParams) -> RingElement:
     """Linearly weighted sum of torsion powers: sum of j * a_i^j, j < r_i."""
-    params.check_index(i)
-    return from_terms(
-        (torsion_power(i, j, params), j) for j in range(1, params.r[i - 1])
-    )
+    powers = _torsion_powers(i, params)
+    return RingElement(dict(zip(powers, range(1, len(powers) + 1))))
+
+
+def _torsion_powers(i: int, params: PresentationParams) -> list[GroupElement]:
+    """a_i, a_i^2, ..., a_i^{r_i - 1} in normal form; i is checked once."""
+    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
+    return [
+        GroupElement((new_syllable(Syllable, (i, k, 0)),))
+        for k in range(1, params.order(i))
+    ]
 
 
 def check_cyclic_identities(i: int, params: PresentationParams) -> dict[str, bool]:

@@ -44,6 +44,10 @@ class GroupElement(tuple):
 
 IDENTITY = GroupElement()
 
+# _new_syllable(Syllable, (f, k, m)) is Syllable(f, k, m) without its
+# Python-level __new__.
+_new_syllable = tuple.__new__
+
 
 def _append_syllable(stack: list[Syllable], factor: int, k: int, m: int, r_factor: int):
     # Incoming k must already lie in [0, r_factor); cancellations cascade
@@ -53,7 +57,7 @@ def _append_syllable(stack: list[Syllable], factor: int, k: int, m: int, r_facto
         k = (prev[1] + k) % r_factor
         m = prev[2] + m
     if k or m:
-        stack.append(Syllable(factor, k, m))
+        stack.append(_new_syllable(Syllable, (factor, k, m)))
 
 
 def project(w: FreeWord, params: PresentationParams) -> GroupElement:
@@ -104,20 +108,22 @@ def check_reduced(x: GroupElement, params: PresentationParams) -> None:
 def ginv(x: GroupElement, params: PresentationParams) -> GroupElement:
     check_reduced(x, params)
     r = params.r
-    return GroupElement(Syllable(f, (r[f - 1] - k) % r[f - 1], -m) for f, k, m in reversed(x))
+    return GroupElement(
+        [_new_syllable(Syllable, (f, -k % r[f - 1], -m)) for f, k, m in reversed(x)]
+    )
 
 
 def torsion_power(i: int, j: int, params: PresentationParams) -> GroupElement:
     """a_i^j in normal form."""
     params.check_index(i)
     k = j % params.r[i - 1]
-    return GroupElement((Syllable(i, k, 0),)) if k else IDENTITY
+    return GroupElement((_new_syllable(Syllable, (i, k, 0)),)) if k else IDENTITY
 
 
 def free_power(i: int, m: int, params: PresentationParams) -> GroupElement:
     """b_i^m in normal form."""
     params.check_index(i)
-    return GroupElement((Syllable(i, 0, m),)) if m else IDENTITY
+    return GroupElement((_new_syllable(Syllable, (i, 0, m)),)) if m else IDENTITY
 
 
 def canonical_key(x: GroupElement):

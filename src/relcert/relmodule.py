@@ -88,18 +88,19 @@ def check_reduction(i: int, d2: RingMatrix, params: PresentationParams) -> dict[
     t2_coeff = ring_mul(norm_minus_r, ramp, params)
     t3_coeff = ring_mul(one_minus_a, t1_coeff, params)
     t4_coeff = ring_mul(one_minus_a, t2_coeff, params)
+    d_square = d.act(square, params)  # D_i r^2
+    d_norm = d.act(ri * norm, params)  # D_i N r
     return {
         # X_i w_i = D_i r_i^2
-        "total": x.act(w, params) == d.act(square, params),
+        "total": x.act(w, params) == d_square,
         # E_i (1 - b^-1) N = D_i N r
-        "power_norm_term": e.act(t1_coeff, params) == d.act(ri * norm, params),
+        "power_norm_term": e.act(t1_coeff, params) == d_norm,
         # E_i (N - r) T = 0
         "power_ramp_term": e.act(t2_coeff, params).is_zero,
         # D_i (1 - a)(1 - b^-1) N = 0
         "commutator_norm_term": d.act(t3_coeff, params).is_zero,
         # D_i (1 - a)(N - r) T = D_i r^2 - D_i N r
-        "commutator_ramp_term":
-            d.act(t4_coeff, params) == d.act(square, params) - d.act(ri * norm, params),
+        "commutator_ramp_term": d.act(t4_coeff, params) == d_square - d_norm,
     }
 
 

@@ -40,10 +40,12 @@ from relcert.groupring import (
     zero,
 )
 from relcert.normalform import project
-from test_groupring import star
+from test_groupring import assert_syllable_keys, star
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
+PRIMES8 = PresentationParams((2, 3, 5, 7, 11, 13, 17, 19))
+P509 = PresentationParams((509,))
 
 
 def test_fox_axioms():
@@ -84,7 +86,7 @@ def test_fox_product_rule_random():
 def fox_words(draw):
     """(params, word): a reduced random word with exponents up to +-2 r_i,
     or the empty word, or a relator word of one factor."""
-    params = draw(st.sampled_from([P235, PresentationParams((3, 4, 5))]))
+    params = draw(st.sampled_from([P235, PresentationParams((3, 4, 5)), PRIMES8, P509]))
     i = draw(st.integers(1, params.n))
     fixed = [
         EMPTY_WORD,
@@ -111,6 +113,7 @@ def test_starred_fox_row_matches_fox_derivative(case):
     assert row.width == 2 * params.n
     for col, x in enumerate(generators(params.n)):
         assert row[col] == star(fox_derivative(w, x, params), params)
+        assert_syllable_keys(row[col].terms)
 
 
 @pytest.mark.parametrize("index", [0, 4])

@@ -11,8 +11,11 @@ from relcert.groupring import (
     _cell_mul,
     _factor_cells,
     _kronecker_mul,
+    _pack,
     _packs,
+    _slot_width,
     _sparse_mul,
+    _unpack,
     check_cyclic_identities,
     free_term,
     from_terms,
@@ -124,6 +127,30 @@ def test_augmentation():
         x = random_ring(rng, P235)
         y = random_ring(rng, P235)
         assert augmentation(ring_mul(x, y, P235)) == augmentation(x) * augmentation(y)
+
+
+def assert_syllable_keys(terms):
+    """Every key is a GroupElement whose items are Syllables: dict equality
+    cannot tell them from plain tuples, which hash and compare alike."""
+    for g in terms:
+        assert type(g) is GroupElement, g
+        assert all(type(s) is Syllable for s in g), g
+
+
+def test_norm_and_ramp_match_definition():
+    # The definition through torsion_power is the oracle of the direct
+    # builds, at factor 1 of one factor and factor 2 of two.
+    for r in (*range(2, 61), 509):
+        for params, i in ((PresentationParams((r,)), 1), (PresentationParams((r + 1, r)), 2)):
+            norm, ramp = norm_element(i, params), ramp_element(i, params)
+            assert norm == from_terms((torsion_power(i, j, params), 1) for j in range(r))
+            assert ramp == from_terms((torsion_power(i, j, params), j) for j in range(1, r))
+            assert_syllable_keys(norm.terms)
+            assert_syllable_keys(ramp.terms)
+            for bad in (0, params.n + 1):
+                for build in (norm_element, ramp_element):
+                    with pytest.raises(ParameterError, match="out of range"):
+                        build(bad, params)
 
 
 def test_norm_and_ramp_values():
@@ -524,6 +551,70 @@ def test_packed_exact_cancellation(data, r, second):
     assert ring_mul(shear, norm, params).is_zero
     if not shear.is_zero:
         assert _kronecker_mul(cells(shear, r), cells(norm, r), r) == {}
+
+
+# Slot widths in bytes as _slot_width gives them: the machine widths 1, 2,
+# 4 and 8, two that _kronecker_mul rounds up to 4 and 8, and two wider than
+# a machine integer, which take the byte-wise path.
+SLOT_WIDTHS = (1, 2, 3, 4, 5, 8, 9, 16)
+
+
+@pytest.mark.parametrize("width", SLOT_WIDTHS)
+def test_pack_round_trips_at_slot_extremes(width):
+    top = 2 ** (8 * width - 1)
+    rng = random.Random(width)
+    values = [top - 1, -(top - 1), -top, 0, 1, -1, 0]
+    values += [rng.randrange(-top, top) for _ in range(40)] + [-top, 0]
+    origin = 7
+    cells = {origin + s: v for s, v in enumerate(values) if v}
+    packed = _pack(cells, origin, len(values), width)
+    assert packed == sum(v << (8 * width * s) for s, v in enumerate(values))
+    assert list(_unpack(packed, len(values), width)) == values
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(2, 1009), st.booleans(), st.sampled_from(SLOT_WIDTHS))
+def test_kronecker_slots_at_width_extremes(data, r, second, width):
+    # Two products whose slots need `width` bytes.  In the first, a single
+    # term c times a sum of +-1 terms, the product's slots reach
+    # +-(2^(8 width - 1) - 1), the extreme of the width.  In the second,
+    # (c g - c g b)(h + h b) = c g h (1 - b^2), the middle slot cancels.
+    params, factor = factor_params(r, second)
+    extreme = 2 ** (8 * width - 1) - 1
+
+    def element(terms):
+        return from_terms(
+            (gmul(torsion_power(factor, k, params), free_power(factor, m, params), params), c)
+            for k, m, c in terms
+        )
+
+    spots = data.draw(
+        st.lists(st.tuples(st.integers(0, r - 1), st.integers(-3, 3)),
+                 min_size=2, max_size=12, unique=True)
+    )
+    signs = [1, -1] + data.draw(st.lists(st.sampled_from([1, -1]), min_size=10, max_size=10))
+    k, m = data.draw(st.integers(0, r - 1)), data.draw(st.integers(-3, 3))
+    c = data.draw(st.sampled_from([extreme, -extreme]))
+    single = element([(k, m, c)])
+    signed = element([(k2, m2, sign) for (k2, m2), sign in zip(spots, signs)])
+    half = extreme // 2
+    (k2, m2) = spots[0]
+    shear = element([(k, m, half), (k, m + 1, -half)])
+    pair = element([(k2, m2, 1), (k2, m2 + 1, 1)])
+    for x, y, coefficients in (
+        (single, signed, {extreme, -extreme}),
+        (signed, single, {extreme, -extreme}),
+        (shear, pair, {half, -half}),
+        (pair, shear, {half, -half}),
+    ):
+        xc, yc = cells(x, r), cells(y, r)
+        assert _slot_width(xc, yc) == width
+        expected = sparse(x, y, params)
+        assert set(expected.terms.values()) == coefficients
+        for kernel in (_kronecker_mul, _cell_mul):
+            assert from_cells(kernel(xc, yc, r), factor, r) == expected
+    # The cancelled slot: g h b has coefficient c - c.
+    assert len(sparse(shear, pair, params).terms) == 2
 
 
 @settings(max_examples=60, deadline=None)

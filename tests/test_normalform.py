@@ -103,6 +103,19 @@ def test_ginv_and_group_axioms_random():
         assert ginv(gmul(x, y, P235), P235) == gmul(ginv(y, P235), ginv(x, P235), P235)
 
 
+def test_built_syllables_are_syllables():
+    # The builders make syllables with tuple.__new__, past Syllable's
+    # Python-level __new__; the items must still be Syllables.
+    rng = random.Random(17)
+    built = [torsion_power(1, 2, P3), free_power(2, -4, P3)]
+    for _ in range(100):
+        x = project(random_word(rng, 3), P235)
+        built += [x, ginv(x, P235), gmul(x, x, P235)]
+    for g in built:
+        assert type(g) is GroupElement
+        assert all(type(s) is Syllable for s in g), g
+
+
 def test_mismatched_params_guard():
     big = PresentationParams((5, 7))
     x = torsion_power(1, 4, big)
