@@ -119,13 +119,12 @@ def _reconstruct(
 def _alpha_coords(
     i: int,
     lam: tuple[tuple[RingElement, ...], ...],
+    lifted: RingMatrix,
     params: PresentationParams,
 ) -> RingVector:
-    # alpha_i = D_i - sum_k Xhat_k * lam[k][i], written over D1..Dn, E1..En.
-    n = params.n
-    lifted = RingMatrix(tuple(lifted_generator(k, params) for k in range(1, n + 2)))
+    # alpha_i = D_i - sum_k Xhat_k * lam[k][i] over D1..Dn, E1..En; lifted rows are Xhat_k.
     column = RingVector(tuple(row[i - 1] for row in lam))
-    return RingVector.unit(2 * n, i - 1) - apply(lifted, column, params)
+    return RingVector.unit(2 * params.n, i - 1) - apply(lifted, column, params)
 
 
 def _basis_ops(
@@ -173,7 +172,8 @@ def build_certificate(params: PresentationParams) -> Certificate:
         mu_columns.append(RingVector.unit(n + 1, i - 1) - lam_column.act(shear, params))
     mu = tuple(zip(*(column.entries for column in mu_columns)))
 
-    alphas = tuple(_alpha_coords(i, lam, params) for i in range(1, n))
+    lifted = RingMatrix(tuple(lifted_generator(k, params) for k in range(1, n + 2)))
+    alphas = tuple(_alpha_coords(i, lam, lifted, params) for i in range(1, n))
     ops = _basis_ops(lam, params) if n >= 2 else ()
     return Certificate(params, crt, lam, mu, alphas, ops)
 

@@ -295,16 +295,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_certificate(params, args.out)
         if args.command == "complex":
             return cmd_complex(params, args.out)
-        if args.command == "normalize":
-            return cmd_normalize(args.word, params)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_normalize(args.word, params)
     except (ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"internal verification fault: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -132,10 +132,6 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def conjugate_by(self, g: "FreeWord") -> "FreeWord":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
     def __pow__(self, k: int) -> "FreeWord":
         if k < 0:
             return self.inverse() ** (-k)

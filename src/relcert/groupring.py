@@ -16,9 +16,9 @@ is a product inside one factor's subring on plain integer cells: by
 Kronecker substitution, one big-integer product folded by a^r = 1 while
 unpacking, when the operands' shape says it pays (_packs), and by a cell
 convolution otherwise.  A product of two elements of one subring is the
-case of a single group with suffix ().  Only a product in which neither
-operand lies in one factor's subring runs the sparse convolution, which
-joins each pair of keys at their boundary syllables (_sparse_mul).
+case of a single group with suffix ().  A product in which neither
+operand lies in one factor's subring runs the plain convolution, one gmul
+per pair of keys (_convolve).
 """
 
 from __future__ import annotations
@@ -125,7 +125,9 @@ def free_term(i: int, m: int, params: PresentationParams, c: int = 1) -> RingEle
 
 
 def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> RingElement:
-    """Bilinear extension of the group product."""
+    """Bilinear extension of the group product: grouped by boundary syllable
+    (_split_mul) when one operand lies in one factor's subring, by the plain
+    convolution (_convolve) otherwise."""
     xt, yt = x.terms, y.terms
     if not xt or not yt:
         return RingElement({})
@@ -144,46 +146,16 @@ def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> Ring
     local = _factor_cells(yt, params)
     if local is not None:
         return RingElement(_split_mul(*local, xt, False, params))
-    return RingElement(_sparse_mul(xt, yt, params))
+    return RingElement(_convolve(xt, yt, params))
 
 
-def _sparse_mul(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
-    """The pairwise convolution, for products in which neither operand lies
-    in one factor's subring (ring_mul takes every other product group by
-    group).  In g * h only the last syllable of g and the first of h can
-    meet; only when their merge vanishes does gmul cascade further.  Sums
-    are keyed by plain syllable tuples, which hash and compare like the
-    group elements they spell, and each surviving key is wrapped once at
-    the end."""
-    r = params.r
-    right = []  # (key, first factor or 0, head syllable, suffix, coefficient)
-    for h, ch in yt.items():
-        check_reduced(h, params)
-        right.append((h, h[0][0], h[0], h[1:], ch) if h else (h, 0, None, (), ch))
-    out: dict[tuple[Syllable, ...], int] = {}
-    get = out.get
-    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
-    for g, cg in xt.items():
+def _convolve(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
+    """The plain convolution, one gmul per pair of keys."""
+    for g in xt:  # gmul checks only its right operand
         check_reduced(g, params)
-        if not g:
-            for h, _, _, _, ch in right:
-                out[h] = get(h, 0) + cg * ch
-            continue
-        f, k, m = g[-1]
-        prefix = g[:-1]
-        rf = r[f - 1]
-        for h, hf, head, suffix, ch in right:
-            if hf != f:
-                key = g + h
-            else:
-                k2 = (k + head[1]) % rf
-                m2 = m + head[2]
-                if k2 or m2:
-                    key = prefix + (new_syllable(Syllable, (f, k2, m2)),) + suffix
-                else:
-                    key = gmul(prefix, suffix, params)
-            out[key] = get(key, 0) + cg * ch
-    return {GroupElement(key): c for key, c in out.items() if c}
+    return accumulate(
+        {}, ((gmul(g, h, params), cg * ch) for g, cg in xt.items() for h, ch in yt.items())
+    )
 
 
 def _factor_cells(terms, params: PresentationParams):
@@ -304,7 +276,7 @@ def _packs(xc, yc, r: int) -> bool:
 
 
 # One convolution pair takes about as long as this many digit steps of
-# CPython's Karatsuba product.  Calibrated against the sparse convolution's
+# CPython's Karatsuba product.  Calibrated against a sparse dict convolution's
 # pair (CPython 3.11 on an Intel Xeon: ~3.5 us per pair, ~10 ns per digit
 # step).  A cell pair costs less, but constants refitted to it made no
 # difference above the noise on the benchmark workloads' products.

@@ -40,6 +40,7 @@ from relcert.certificate import (
     replay,
 )
 from test_certificate import mutate_one_coefficient
+from test_freewords import conjugate_by
 
 FAMILIES = [(2, 3), (2, 3, 5), (3, 4, 5), (5, 7, 9, 11, 13)]
 RUNTIME_BUDGET_SECONDS = 10.0
@@ -174,7 +175,7 @@ def test_criterion_6_conjugation_consistency():
         for _ in range(200):
             i = rng.randint(1, params.n)
             g = random_word(rng, params.n, max_len=20)
-            conjugated = commutator_relator(i).conjugate_by(g)
+            conjugated = conjugate_by(commutator_relator(i), g)
             row = starred_fox_row(conjugated, params)
             image = group_term(project(g, params))
             assert row == d2[i - 1].act(image, params)

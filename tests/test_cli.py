@@ -45,6 +45,25 @@ def test_verify_rejects_small_order(capsys):
     assert main(["verify", "--r", "2,x"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown", "missing"],
+)
+def test_unknown_or_missing_command_exits_2(argv, message, capsys):
+    # The required subparser exits 2 with argparse's own message.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: relcert")
+    assert f"relcert: error: {message}" in captured.err
+
+
 def test_verify_single_factor_skips(capsys):
     assert main(["verify", "--r", "7"]) == 0
     out = capsys.readouterr().out
@@ -340,8 +359,8 @@ def test_verify_builds_2n_starred_rows(monkeypatch):
 def test_built_certificate_fault_exits_1(command, monkeypatch, tmp_path, capsys):
     alpha_coords = certificate._alpha_coords
 
-    def corrupt(i, lam, params):
-        alpha = alpha_coords(i, lam, params)
+    def corrupt(i, lam, lifted, params):
+        alpha = alpha_coords(i, lam, lifted, params)
         return type(alpha)((alpha[0] + one(),) + alpha.entries[1:]) if i == 1 else alpha
 
     monkeypatch.setattr(certificate, "_alpha_coords", corrupt)

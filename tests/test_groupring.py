@@ -9,12 +9,12 @@ from relcert.freewords import PresentationParams, parse_word, random_word, scan_
 from relcert.groupring import (
     RingElement,
     _cell_mul,
+    _convolve,
     _factor_cells,
     _kronecker_mul,
     _pack,
     _packs,
     _slot_width,
-    _sparse_mul,
     _unpack,
     check_cyclic_identities,
     free_term,
@@ -41,6 +41,7 @@ from relcert.normalform import (
     project,
     torsion_power,
 )
+from representation import rho_for
 from test_parse_fuzz import GENUINE, PARAMS, grammar_text
 
 P3 = PresentationParams((3, 5))
@@ -244,8 +245,9 @@ def star(x, params):
 
 
 def reference_mul(xt, yt, params):
-    """The plain convolution, one gmul per pair of terms: the reference both
-    kernels of ring_mul are held to."""
+    """The plain convolution, one gmul per pair of terms: the reference the
+    split path of ring_mul is held to.  ring_mul's own plain path is this
+    loop, so rho (representation.py) is its reference."""
     for g in xt:  # gmul checks only its right operand
         check_reduced(g, params)
     out = {}
@@ -468,11 +470,17 @@ def syllable_elements(draw, params, max_terms=20):
 def test_ring_mul_matches_reference(data, params):
     x = data.draw(syllable_elements(params))
     y = data.draw(syllable_elements(params))
-    expected = reference_mul(x.terms, y.terms, params)
-    product, sparse = ring_mul(x, y, params).terms, _sparse_mul(x.terms, y.terms, params)
-    assert product == expected
-    assert sparse == expected
-    assert all(isinstance(g, GroupElement) for g in (*product, *sparse))
+    # The second product of each example adds a term a1 b2 that no sum of
+    # drawn terms can cancel to both sides, so the plain convolution runs.
+    mixed = group_term(gmul(torsion_power(1, 1, params), free_power(2, 1, params), params), 2**210)
+    general = (x + mixed, y - mixed)
+    assert all(_factor_cells(z.terms, params) is None for z in general)
+    rho = rho_for(params)
+    for a, b in ((x, y), general):
+        product = ring_mul(a, b, params).terms
+        assert product == reference_mul(a.terms, b.terms, params)
+        assert rho.ring(RingElement(product)) == rho.mul(rho.ring(a), rho.ring(b))
+        assert all(isinstance(g, GroupElement) for g in product)
 
 
 def test_boundary_merges_cascade_to_identity():
@@ -481,7 +489,7 @@ def test_boundary_merges_cascade_to_identity():
     a1, a2 = Syllable(1, 1, 0), Syllable(2, 1, 0)
     left = GroupElement((a1, a2))
     right = GroupElement((Syllable(2, 4, 0), Syllable(1, 2, 0)))
-    assert _sparse_mul({left: 3}, {right: -2}, P3) == {IDENTITY: -6}
+    assert _convolve({left: 3}, {right: -2}, P3) == {IDENTITY: -6}
     x = group_term(left, 3) + one()
     y = group_term(right, -2) + torsion_term(2, 1, P3)
     expected = reference_mul(x.terms, y.terms, P3)
@@ -499,7 +507,7 @@ def test_cancelled_key_is_dropped():
     x = one() - group_term(a1)
     y = group_term(gmul(a1, a2, P3)) + group_term(a2)
     a1sq_a2 = gmul(torsion_power(1, 2, P3), a2, P3)
-    assert _sparse_mul(x.terms, y.terms, P3) == {a2: 1, a1sq_a2: -1}
+    assert _convolve(x.terms, y.terms, P3) == {a2: 1, a1sq_a2: -1}
 
 
 def cells(x, r):

@@ -28,6 +28,7 @@ from relcert.relmodule import (
     reduction_multiplier,
 )
 from test_groupring import star
+from test_freewords import conjugate_by
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
@@ -147,9 +148,9 @@ def test_conjugation_consistency():
         i = rng.randint(1, 3)
         g = random_word(rng, 3)
         coeff = group_term(project(g, P235))
-        conj = commutator_relator(i).conjugate_by(g)
+        conj = conjugate_by(commutator_relator(i), g)
         assert starred_fox_row(conj, P235) == D235[i - 1].act(coeff, P235)
-        conj = power_relator(i, P235).conjugate_by(g)
+        conj = conjugate_by(power_relator(i, P235), g)
         assert starred_fox_row(conj, P235) == D235[P235.n + i - 1].act(coeff, P235)
 
 
