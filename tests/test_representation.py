@@ -146,8 +146,8 @@ def test_rho_split_products(operands):
 
 
 def test_rho_packed_norm_products():
-    # N * T and (1 - b^-1) N at r = 509 and 1009, products _packs sends to
-    # the Kronecker kernel, against rho's own norm and ramp images.
+    # N * T at r = 509 and 1009, a product _packs sends to the Kronecker
+    # kernel, against rho's own norm and ramp images.
     for r in (509, 1009):
         params = PresentationParams((r,))
         rho = rho_for(params)
@@ -182,8 +182,8 @@ def ring_texts(rng, params, count):
             ) or "e"
             c = rng.choice((1, 2, 17, rng.randrange(1, BIG)))
             sign = rng.choice(("+", "-"))
-            term = body if c == 1 else f"{c}*{body}"
-            chunks.append((("-" if sign == "-" else "") if t == 0 else f" {sign} ") + term)
+            lead = f" {sign} " if t else sign.strip("+")
+            chunks.append(lead + (body if c == 1 else f"{c}*{body}"))
         texts.append("".join(chunks))
     return texts
 
