@@ -244,7 +244,7 @@ def column_replay(
     cols = [[row.entries[j] for row in matrix.rows] for j in positions]
     for op in reversed(ops):
         cols[op.src] = [
-            s + ring_mul(op.coeff, d, params) if d.terms else s
+            s if d.is_zero else s + ring_mul(op.coeff, d, params)
             for s, d in zip(cols[op.src], cols[op.dst])
         ]
     return RingMatrix(tuple(RingVector(entries) for entries in zip(*cols)))

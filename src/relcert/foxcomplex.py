@@ -36,7 +36,7 @@ from .freewords import (
     generators,
     power_relator,
 )
-from .groupring import RingElement, accumulate, from_terms, group_term, one, ring_mul, zero
+from .groupring import RingElement, from_terms, group_term, one, ring_mul, ring_sum, zero
 from .normalform import IDENTITY, GroupElement, Syllable, ginv, gmul, project, torsion_power, free_power
 
 
@@ -127,16 +127,16 @@ def apply(m: RingMatrix, v: RingVector, params: PresentationParams) -> RingVecto
             f"coefficient vector width {v.width} != row count {m.nrows}"
         )
     cols = []
+    live = [(k, vk) for k, vk in enumerate(v.entries) if not vk.is_zero]
     for c in range(m.ncols):
-        acc: dict[GroupElement, int] = {}
-        for k in range(m.nrows):
-            vk = v.entries[k]
+        col = None
+        for k, vk in live:
             entry = m.rows[k].entries[c]
-            if vk.terms and entry.terms:
-                # ring_mul's dict is fresh, so an empty column may take it over.
-                product = ring_mul(entry, vk, params).terms
-                acc = accumulate(acc, product.items()) if acc else product
-        cols.append(RingElement(acc))
+            if not entry.is_zero:
+                # ring_mul's result is fresh, so the column may sum into it.
+                product = ring_mul(entry, vk, params)
+                col = product if col is None else ring_sum(col, product, in_place=True)
+        cols.append(zero() if col is None else col)
     return RingVector(tuple(cols))
 
 

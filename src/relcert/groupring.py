@@ -1,24 +1,29 @@
 """Exact arithmetic in the integral group ring of the free product.
 
-Elements are finitely supported integer combinations of group normal forms,
-stored sparsely as {GroupElement: coefficient} with no zero coefficients.
-Coefficients are arbitrary-precision: the Chinese-remainder data downstream
-reaches the product of all r_j^2, which overflows fixed width quickly.
+Elements are finitely supported integer combinations of group normal forms
+with no zero coefficients.  Coefficients are arbitrary-precision: the
+Chinese-remainder data downstream reaches the product of all r_j^2, which
+overflows fixed width quickly.
 
-Multiplication takes one of two exact paths and both give the same dict.
-When one operand x lies in one factor f's commutative subring
-Z[C_r x Z] = Z[a, b^-1, b]/(a^r - 1), every key being the identity or a
-single syllable of f, ring_mul splits the other operand at its boundary
-syllable: y = sum_s v_s s over the reduced suffixes s that do not start in
-f, each v_s in f's subring (for y x, prefixes that do not end in f).  Then
-x y = sum_s (x v_s) s, and keys of different groups never meet.  Each x v_s
-is a product inside one factor's subring on plain integer cells: by
-Kronecker substitution, one big-integer product folded by a^r = 1 while
-unpacking, when the operands' shape says it pays (_packs), and by a cell
-convolution otherwise.  A product of two elements of one subring is the
-case of a single group with suffix ().  A product in which neither
-operand lies in one factor's subring runs the plain convolution, one gmul
-per pair of keys (_convolve).
+An element of one factor f's commutative subring Z[C_r x Z] =
+Z[a, b^-1, b]/(a^r - 1) may be held in cell form, `local` = (f, r_f, cells)
+of _factor_cells, in place of the dict form `terms`, {GroupElement:
+coefficient}.  The torsion, free, norm and ramp builders and parse_ring
+give cell form; products, sums and equality of operands that read as cells
+of one factor stay on cells, and terms are built from cells when read.
+
+Multiplication takes one of two exact paths and both give the same value.
+When one operand x lies in one factor f's subring, ring_mul splits the
+other operand at its boundary syllable: y = sum_s v_s s over the reduced
+suffixes s that do not start in f, each v_s in f's subring (for y x,
+prefixes that do not end in f).  Then x y = sum_s (x v_s) s, and keys of
+different groups never meet.  Each x v_s is a product inside one factor's
+subring on plain integer cells: by Kronecker substitution, one big-integer
+product folded by a^r = 1 while unpacking, when the operands' shape says
+it pays (_packs), and by a cell convolution otherwise.  A product of two
+elements of one subring is the case of a single group with suffix (), in
+cell form.  A product in which neither operand lies in one factor's
+subring runs the plain convolution, one gmul per pair of keys (_convolve).
 """
 
 from __future__ import annotations
@@ -40,45 +45,56 @@ from .normalform import (
     element_to_text,
     gmul,
     project,
-    torsion_power,
-    free_power,
 )
 
 
 class RingElement:
-    """A finitely supported integer combination of group elements."""
+    """A finitely supported integer combination of group elements in dict or
+    cell form (module docstring); __getattr__ fills an unset `terms` slot."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "local")
     __hash__ = None
 
-    def __init__(self, terms: dict[GroupElement, int]):
-        # Trusted to contain no zero coefficients.
-        self.terms = terms
+    def __init__(self, terms: dict[GroupElement, int] | None, local=None):
+        # Trusted to contain no zero coefficients, and local to match terms.
+        if terms is not None:
+            self.terms = terms
+        self.local = local
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(name)
+        factor, r, cells = self.local
+        self.terms = terms = _wrap(factor, 2 * r, cells, IDENTITY, True, {})
+        return terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        local = self.local
+        return not (local[2] if local else self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RingElement) and self.terms == other.terms
+        if not isinstance(other, RingElement):
+            return False
+        if self.local or other.local:  # on cells, where both read as cells
+            return ring_sum(self, other, -1).is_zero
+        return self.terms == other.terms
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(accumulate(dict(self.terms), other.terms.items()))
+        return ring_sum(self, other)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return RingElement(
-            accumulate(dict(self.terms), ((g, -c) for g, c in other.terms.items()))
-        )
+        return ring_sum(self, other, -1)
 
     def __neg__(self) -> "RingElement":
-        return RingElement({g: -c for g, c in self.terms.items()})
+        return -1 * self
 
     def __rmul__(self, c: int) -> "RingElement":
         if not isinstance(c, int):
             return NotImplemented
-        if c == 0:
-            return RingElement({})
-        return RingElement({g: c * v for g, v in self.terms.items()})
+        local = self.local
+        scaled = {g: c * v for g, v in (local[2] if local else self.terms).items()} if c else {}
+        return RingElement(None, (*local[:2], scaled)) if local else RingElement(scaled)
 
     def __repr__(self) -> str:
         return f"RingElement({ring_to_text(self)!r})"
@@ -114,39 +130,53 @@ def from_terms(pairs) -> RingElement:
     return RingElement(accumulate({}, pairs))
 
 
+def ring_sum(x: RingElement, y: RingElement, sign: int = 1, in_place: bool = False) -> RingElement:
+    """x + sign * y (sign 1 or -1), on cells when x or y is in cell form and
+    the other reads as cells of its factor and order; in_place spends x."""
+    local = x.local or y.local
+    yd = None
+    if local:
+        xd = _cells(x, local[0], local[1])
+        yd = None if xd is None else _cells(y, local[0], local[1])
+    if yd is None:
+        local, xd, yd = None, x.terms, y.terms
+    items = yd.items() if sign > 0 else ((g, -c) for g, c in yd.items())
+    acc = accumulate(xd if in_place else dict(xd), items)
+    return RingElement(None, (local[0], local[1], acc)) if local else RingElement(acc)
+
+
 def torsion_term(i: int, j: int, params: PresentationParams, c: int = 1) -> RingElement:
     """c * a_i^j."""
-    return group_term(torsion_power(i, j, params), c)
+    r = params.order(i)
+    return RingElement(None, (i, r, {j % r: c} if c else {}))
 
 
 def free_term(i: int, m: int, params: PresentationParams, c: int = 1) -> RingElement:
     """c * b_i^m."""
-    return group_term(free_power(i, m, params), c)
+    r = params.order(i)
+    return RingElement(None, (i, r, {m * 2 * r: c} if c else {}))
 
 
 def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> RingElement:
     """Bilinear extension of the group product: grouped by boundary syllable
     (_split_mul) when one operand lies in one factor's subring, by the plain
-    convolution (_convolve) otherwise."""
-    xt, yt = x.terms, y.terms
+    convolution (_convolve) otherwise.  The result is a fresh element."""
+    xl, yl = x.local, y.local
+    xt, yt = xl[2] if xl else x.terms, yl[2] if yl else y.terms
     if not xt or not yt:
         return RingElement({})
-    # Scalar shortcut: a multiple of the identity commutes with everything.
-    if len(yt) == 1:
-        g, c = next(iter(yt.items()))
-        if not g:
-            return c * x
-    if len(xt) == 1:
-        g, c = next(iter(xt.items()))
-        if not g:
-            return c * y
-    local = _factor_cells(xt, params)
+    # A multiple of the identity, key () or cell 0, commutes with everything.
+    if len(yt) == 1 and not next(iter(yt)):
+        return sum(yt.values()) * x
+    if len(xt) == 1 and not next(iter(xt)):
+        return sum(xt.values()) * y
+    local = _factor_cells(x, params)
     if local is not None:
-        return RingElement(_split_mul(*local, yt, True, params))
-    local = _factor_cells(yt, params)
+        return _split_mul(local, y, True, params)
+    local = _factor_cells(y, params)
     if local is not None:
-        return RingElement(_split_mul(*local, xt, False, params))
-    return RingElement(_convolve(xt, yt, params))
+        return _split_mul(local, x, False, params)
+    return RingElement(_convolve(x.terms, y.terms, params))
 
 
 def _convolve(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
@@ -158,39 +188,42 @@ def _convolve(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
     )
 
 
-def _factor_cells(terms, params: PresentationParams):
-    """(f, {m * 2 r_f + k: coefficient}) when every key is the identity or
-    one syllable a_f^k b_f^m of a single factor f in normal form
+def _factor_cells(x: RingElement, params: PresentationParams):
+    """(f, r_f, {m * 2 r_f + k: coefficient}) when every key of x is the
+    identity or one syllable a_f^k b_f^m of a single factor f in normal form
     (1 <= f <= n, 0 <= k < r_f, not both zero) and some key is not the
-    identity; None otherwise.
+    identity; None otherwise.  A cell-form x of f at order r_f gives its own.
 
     The cell m * 2r + k of a term a^k b^m is its slot in a layout with 2r
     slots per free exponent: cells of a product add, and cell s with
     s mod 2r >= r folds onto s - r, applying a^r = 1."""
-    r = params.r
-    factor = rf = stride = 0
+    local, r = x.local, params.r
+    # Cell form names its factor; else the first key that is not the identity.
+    f = local[0] if local else next(filter(None, x.terms), ((0,),))[0][0]
+    cells = _cells(x, f, r[f - 1]) if 1 <= f <= len(r) else None
+    return None if cells is None else (f, r[f - 1], cells)
+
+
+def _cells(x: RingElement, factor: int, r: int):
+    """x's cells at factor and order r, or None (_factor_cells)."""
+    local = x.local
+    if local and local[0] == factor and local[1] == r:
+        return local[2]
+    stride = 2 * r
     cells: dict[int, int] = {}
-    for g, c in terms.items():
-        if not g:
-            cells[0] = c
-            continue
+    for g, c in x.terms.items():
         if len(g) > 1:
             return None
-        f, k, m = g[0]
-        if f != factor:
-            if factor or not 1 <= f <= len(r):
-                return None
-            factor, rf = f, r[f - 1]
-            stride = 2 * rf
-        if not (0 <= k < rf and (k or m)):
+        f, k, m = g[0] if g else (factor, 0, 0)  # the identity is cell 0
+        if f != factor or not (0 <= k < r and (k or m or not g)):
             return None
         cells[m * stride + k] = c
-    return (factor, cells) if factor else None
+    return cells
 
 
-def _split_mul(factor: int, cells, other, left: bool, params: PresentationParams):
-    """x * other (left) or other * x (not left) for x = cells of factor f's
-    subring (_factor_cells), the product grouped by boundary syllable.
+def _split_mul(local, other: RingElement, left: bool, params: PresentationParams) -> RingElement:
+    """x * other (left) or other * x (not left) for x = (f, r_f, cells) of
+    _factor_cells, the product grouped by boundary syllable.
 
     Each key h of `other` splits as s_h h' (left) or h' s_h (not left), s_h
     being h's first (last) syllable when it lies in f and the identity
@@ -198,49 +231,56 @@ def _split_mul(factor: int, cells, other, left: bool, params: PresentationParams
     c_h s_h over the keys with rest h' and lies in f's subring, like x.
     Since h' does not start (end) in f, each product key is h' with at most
     one syllable of f joined to it, and keys of different groups never
-    meet."""
-    r = params.r[factor - 1]
-    stride = 2 * r
-    edge = 0 if left else -1
-    groups: dict[GroupElement, dict[int, int]] = {}
-    for h, c in other.items():
-        check_reduced(h, params)
-        if h and h[edge][0] == factor:
-            _, k, m = h[edge]
-            cell = m * stride + k
-            rest = h[1:] if left else h[:-1]
-        else:
-            cell, rest = 0, h
-        group = groups.get(rest)
-        if group is None:
-            # Each group's key is an element once: h itself, or its slice wrapped.
-            groups[rest if rest is h else GroupElement(rest)] = {cell: c}
-        else:
-            group[cell] = c
-    out: dict[GroupElement, int] = {}
-    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
-    for rest, group in groups.items():
-        # x v_rest, folded by a^r = 1; cancelled cells may stay, at 0.
-        if _packs(cells, group, r):
-            prod = _kronecker_mul(cells, group, r)
-        else:
-            prod = _cell_mul(cells, group, r)
-        for cell, c in prod.items():
-            if not c:
-                continue
-            if cell:
-                m, k = divmod(cell, stride)
-                syllable = (new_syllable(Syllable, (factor, k, m)),)
-                out[GroupElement(syllable + rest if left else rest + syllable)] = c
+    meet.  A cell-form `other` of f is the single group h' = () as it stands."""
+    factor, r, cells = local
+    theirs = other.local
+    if theirs and theirs[0] == factor and theirs[1] == r:
+        groups = {IDENTITY: theirs[2]}
+    else:
+        stride = 2 * r
+        edge = 0 if left else -1
+        groups: dict[GroupElement, dict[int, int]] = {}
+        for h, c in other.terms.items():
+            check_reduced(h, params)
+            if h and h[edge][0] == factor:
+                _, k, m = h[edge]
+                cell = m * stride + k
+                rest = h[1:] if left else h[:-1]
             else:
-                out[rest] = c
+                cell, rest = 0, h
+            group = groups.get(rest)
+            if group is None:
+                # Each group's key is an element once: h itself, or its slice wrapped.
+                groups[rest if rest is h else GroupElement(rest)] = {cell: c}
+            else:
+                group[cell] = c
+    out: dict[GroupElement, int] = {}
+    for rest, group in groups.items():
+        # x v_rest, folded by a^r = 1, with no zero cells.
+        prod = (_kronecker_mul if _packs(cells, group, r) else _cell_mul)(cells, group, r)
+        if not rest and len(groups) == 1:
+            return RingElement(None, (factor, r, prod))
+        _wrap(factor, 2 * r, prod, rest, left, out)
+    return RingElement(out)
+
+
+def _wrap(factor: int, stride: int, cells, rest: GroupElement, left: bool, out: dict):
+    """out with each cell's term added: its syllable joined to rest, first if left."""
+    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
+    for cell, c in cells.items():
+        if cell:
+            m, k = divmod(cell, stride)
+            syllable = (new_syllable(Syllable, (factor, k, m)),)
+            out[GroupElement(syllable + rest if left else rest + syllable)] = c
+        else:
+            out[rest] = c
     return out
 
 
 def _cell_mul(xc, yc, r: int) -> dict[int, int]:
     """x * y on the cells of one factor's subring Z[a, b^-1, b]/(a^r - 1)
     by pairwise convolution, folding each product cell by a^r = 1 as it
-    goes; cancelled cells stay, with coefficient 0."""
+    goes; cancelled cells are dropped at the end."""
     stride = 2 * r
     prod: dict[int, int] = {}
     get = prod.get
@@ -250,7 +290,7 @@ def _cell_mul(xc, yc, r: int) -> dict[int, int]:
             if s % stride >= r:
                 s -= r
             prod[s] = get(s, 0) + ca * cb
-    return prod
+    return {s: c for s, c in prod.items() if c}
 
 
 def _packs(xc, yc, r: int) -> bool:
@@ -375,22 +415,14 @@ _TYPECODES = {array(t).itemsize: t for t in "bhilq"}
 
 def norm_element(i: int, params: PresentationParams) -> RingElement:
     """Sum of all powers of the torsion generator: 1 + a_i + ... + a_i^{r_i - 1}."""
-    return RingElement(dict.fromkeys((IDENTITY, *_torsion_powers(i, params)), 1))
+    r = params.order(i)
+    return RingElement(None, (i, r, dict.fromkeys(range(r), 1)))
 
 
 def ramp_element(i: int, params: PresentationParams) -> RingElement:
     """Linearly weighted sum of torsion powers: sum of j * a_i^j, j < r_i."""
-    powers = _torsion_powers(i, params)
-    return RingElement(dict(zip(powers, range(1, len(powers) + 1))))
-
-
-def _torsion_powers(i: int, params: PresentationParams) -> list[GroupElement]:
-    """a_i, a_i^2, ..., a_i^{r_i - 1} in normal form; i is checked once."""
-    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
-    return [
-        GroupElement((new_syllable(Syllable, (i, k, 0)),))
-        for k in range(1, params.order(i))
-    ]
+    r = params.order(i)
+    return RingElement(None, (i, r, {k: k for k in range(1, r)}))
 
 
 def check_cyclic_identities(i: int, params: PresentationParams) -> dict[str, bool]:
@@ -413,9 +445,15 @@ def check_cyclic_identities(i: int, params: PresentationParams) -> dict[str, boo
 def ring_to_text(x: RingElement) -> str:
     """Signed sum of "c*<groupword>" terms in canonical key order;
     coefficient 1 omitted, identity prints "e", zero prints "0"."""
-    if not x.terms:
+    local = x.local
+    if local:  # in canonical key order: the identity, then syllables by (k, m)
+        factor, stride = local[0], 2 * local[1]
+        keyed = sorted(((s != 0, s % stride, s // stride), c) for s, c in local[2].items())
+        items = [(((factor, k, m),) if s else (), c) for (s, k, m), c in keyed]
+    else:
+        items = sorted(x.terms.items(), key=lambda t: canonical_key(t[0]))
+    if not items:
         return "0"
-    items = sorted(x.terms.items(), key=lambda t: canonical_key(t[0]))
     chunks = []
     for g, c in items:
         mag = abs(c)
@@ -498,7 +536,9 @@ def parse_ring(
             words[word] = g
         terms.append((g, sign * coeff))
         if not end:
-            return from_terms(terms)
+            x = from_terms(terms)
+            x.local = _factor_cells(x, params)
+            return x
         sign = 1 if end == "+" else -1
         pos = stop + 1
 

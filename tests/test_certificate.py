@@ -445,8 +445,10 @@ def test_check_cert_structural_mutants(mutant, orders, tmp_path, capsys):
 
 
 def mutate_one_coefficient(obj, rng, params):
-    """Perturb one coefficient somewhere in the certificate by +1."""
-    sites = ["t", "s", "lambda", "mu", "alpha", "basis_ops"]
+    """Perturb one coefficient somewhere in the certificate by +1.  Only
+    fields with entries are drawn: an n = 1 certificate has no alpha rows
+    and no basis ops."""
+    sites = [site for site in ("t", "s", "lambda", "mu", "alpha", "basis_ops") if obj[site]]
     site = rng.choice(sites)
     if site == "t":
         i = rng.randrange(len(obj["t"]))

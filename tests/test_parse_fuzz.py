@@ -20,6 +20,11 @@ PARAMS = [PresentationParams((2, 3)), PresentationParams((7,)), PresentationPara
 # Digit runs past CPython's 4300-digit integer-string limit, and digits that
 # str.isdigit accepts but int() does not ('²') or does ('٣').
 long_digits = st.integers(4301, 5000).map(lambda k: "9" * k)
+# Letters with an explicit exponent, such as a1^-3 or b2^7, which the
+# one-character tokens rarely spell out; indices run one past n = 3.
+letters = st.builds(
+    "{}{}^{}".format, st.sampled_from("ab"), st.integers(1, 4), st.integers(-12, 12)
+)
 tokens = st.one_of(
     st.sampled_from(
         ["a", "b", "e", "1", "2", "3", "0", "12", "^", "-", "+", "*", " ", "\t", "²", "٣",
@@ -27,6 +32,7 @@ tokens = st.one_of(
     ),
     st.text(max_size=3),
     long_digits,
+    letters,
 )
 grammar_text = st.lists(tokens, max_size=12).map("".join)
 

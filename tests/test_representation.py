@@ -113,8 +113,8 @@ MIXED_PARAMS = st.sampled_from([PresentationParams((2, 3, 5)), PresentationParam
 @given(st.data(), MIXED_PARAMS)
 def test_rho_general_products(data, params):
     # Both operands spread over several factors: the plain convolution.
-    x = data.draw(syllable_elements(params).filter(lambda e: _factor_cells(e.terms, params) is None))
-    y = data.draw(syllable_elements(params).filter(lambda e: _factor_cells(e.terms, params) is None))
+    x = data.draw(syllable_elements(params).filter(lambda e: _factor_cells(e, params) is None))
+    y = data.draw(syllable_elements(params).filter(lambda e: _factor_cells(e, params) is None))
     rho = rho_for(params)
     assert_multiplies(rho, x, y, ring_mul(x, y, params))
     assert_multiplies(rho, y, x, ring_mul(y, x, params))
@@ -231,17 +231,16 @@ BROKEN_ITEM = {
 def certificate_cases(params, count, seed):
     """(JSON tree, names of the relation items it breaks): the genuine
     certificate, '+ e' added to lambda[0][0], two lambda columns swapped
-    (n >= 2) and `count` one-coefficient mutants (n >= 2)."""
+    (n >= 2) and `count` one-coefficient mutants."""
     genuine = json.loads(certificate_bytes(build_certificate(params)))
     cases = [(genuine, set())]
     obj = json.loads(json.dumps(genuine))
     obj["lambda"][0][0] = ring_to_text(parse_ring(obj["lambda"][0][0], params) + one())
     cases.append((obj, {"D_1 reconstruction"}))
-    if params.n == 1:  # no alpha rows and no trace to mutate
-        return cases
-    obj = json.loads(json.dumps(genuine))
-    _swap_lambda_columns(obj)
-    cases.append((obj, {"D_1 reconstruction", "D_2 reconstruction"}))
+    if params.n >= 2:  # one factor has a single lambda column
+        obj = json.loads(json.dumps(genuine))
+        _swap_lambda_columns(obj)
+        cases.append((obj, {"D_1 reconstruction", "D_2 reconstruction"}))
     rng = random.Random(seed)
     for _ in range(count):
         obj = json.loads(json.dumps(genuine))
