@@ -189,10 +189,10 @@ def _convolve(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
 
 
 def _factor_cells(x: RingElement, params: PresentationParams):
-    """(f, r_f, {m * 2 r_f + k: coefficient}) when every key of x is the
-    identity or one syllable a_f^k b_f^m of a single factor f in normal form
-    (1 <= f <= n, 0 <= k < r_f, not both zero) and some key is not the
-    identity; None otherwise.  A cell-form x of f at order r_f gives its own.
+    """(f, r_f, {m * 2 r_f + k: coefficient}) when x is in cell form at
+    r_f = params.r[f - 1], or every key of x is the identity or a syllable
+    a_f^k b_f^m of one factor f in normal form (1 <= f <= n, 0 <= k < r_f,
+    not both zero) and some key is not; None otherwise.
 
     The cell m * 2r + k of a term a^k b^m is its slot in a layout with 2r
     slots per free exponent: cells of a product add, and cell s with
