@@ -235,7 +235,8 @@ def column_replay(
     params: PresentationParams,
 ) -> RingMatrix:
     """compose(M Pi^-1, replay(ops, identity)) without a matrix product,
-    where row r of the permutation Pi is the unit vector at positions[r].
+    where row r of the permutation Pi is the unit vector at positions[r]:
+    P Q for M = P, and Q = Pi^-1 E itself for M = I.
 
     replay(ops, I) is E_m ... E_1 for the ops' elementary matrices, so the
     product is M Pi^-1 E_m ... E_1: start from M with column k replaced by
@@ -250,30 +251,22 @@ def column_replay(
     return RingMatrix(tuple(RingVector(entries) for entries in zip(*cols)))
 
 
-def _check_basis(cert: Certificate) -> tuple[RingMatrix, RingMatrix | None, bool]:
-    """The basis matrix P, the inverse Q read off the trace (None when the
-    trace does not reach a permutation of the standard basis), and whether
-    P Q = identity.
+def _check_basis(cert: Certificate) -> tuple[RingMatrix, list[int] | None, bool]:
+    """The basis matrix P, the positions of the permutation Pi the trace
+    reduces it to (None when it reaches none), and whether P Q = identity.
 
-    Once the trace sends P to a row permutation Pi of the identity, P Q = I
-    follows by algebra: every op has src != dst, so its elementary matrix
-    is invertible, E = E_m ... E_1 is invertible, and E P = Pi makes
-    Q = Pi^-1 E a two-sided inverse.  Q P is the reduced matrix with its
-    rows permuted back, so it needs no check.  P Q is still computed, as
-    (P Pi^-1) E_m ... E_1 by column_replay: a recheck of the arithmetic in
-    the other association order."""
+    Every op has src != dst, so its elementary matrix is invertible, and
+    E P = Pi for E = E_m ... E_1 makes Q = Pi^-1 E a two-sided inverse of P.
+    The check never forms Q (column_replay of the identity, where exported).
+    P Q is still computed, as (P Pi^-1) E by column_replay: a recheck of the
+    arithmetic in the other association order."""
     params = cert.params
     p = basis_matrix(cert)
     positions = permutation_of_identity(replay(cert.basis_ops, p, params))
     if positions is None:
         return p, None, False
-    trace = replay(cert.basis_ops, RingMatrix.identity(p.nrows), params)
-    inverse_rows = [None] * p.nrows
-    for row_index, position in enumerate(positions):
-        inverse_rows[position] = trace.rows[row_index]
-    q = RingMatrix(tuple(inverse_rows))
     product = column_replay(cert.basis_ops, p, positions, params)
-    return p, q, product == RingMatrix.identity(p.nrows)
+    return p, positions, product == RingMatrix.identity(p.nrows)
 
 
 def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRightMultiple, ...]]:
@@ -281,12 +274,13 @@ def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRi
 
     Verifies that the trace reduces P to a permutation of the standard
     basis and that P Q = identity (see _check_basis); any failure is a
-    hard fault."""
+    hard fault.  Q is the column replay of the identity."""
     if cert.params.n < 2:
         raise ParameterError("basis change requires n >= 2")
-    p, q, inverts = _check_basis(cert)
+    p, positions, inverts = _check_basis(cert)
     if not inverts:
-        raise VerificationError(NOT_REDUCED if q is None else NOT_INVERSE)
+        raise VerificationError(NOT_REDUCED if positions is None else NOT_INVERSE)
+    q = column_replay(cert.basis_ops, RingMatrix.identity(p.nrows), positions, cert.params)
     return p, q, cert.basis_ops
 
 
@@ -350,9 +344,9 @@ CheckItem = namedtuple("CheckItem", "name passed detail", defaults=("",))
 class CheckReport(
     namedtuple("CheckReport", "accepted items basis d2", defaults=(None, None))
 ):
-    """The verdict and its CheckItems.  basis is the (P, Q) pair the basis
-    items checked; None when n = 1 or when the trace does not reach a
-    permutation, so that no Q can be read off.  d2 is the matrix the
+    """The verdict and its CheckItems.  basis is the pair (P, positions) the
+    basis items checked (_check_basis, which never forms Q); None when n = 1
+    or when the trace does not reach a permutation.  d2 is the matrix the
     reconstruction and alpha kernel items read, for every n.  The report
     of check_certificate_json carries neither."""
 
@@ -435,16 +429,16 @@ def check_certificate(cert: Certificate) -> CheckReport:
     items = list(relations.items)
     basis = None
     if cert.params.n >= 2:
-        p, q, inverts = _check_basis(cert)
+        p, positions, inverts = _check_basis(cert)
         items.append(
             CheckItem(
                 "basis reduction",
-                q is not None,
+                positions is not None,
                 "operation trace reaches a permutation of the standard basis",
             )
         )
-        if q is not None:
-            basis = (p, q)
+        if positions is not None:
+            basis = (p, positions)
             detail = "P Q = identity; Q P follows from basis reduction"
             items.append(CheckItem("basis inverse", inverts, detail))
         else:
@@ -618,10 +612,12 @@ class ChainExport(namedtuple("ChainExport", "params d1 d2 d3 p q")):
 
 
 def build_chain_export(params: PresentationParams) -> ChainExport:
-    """Build the certificate, check all of it, and take (P, Q) and d2 from it."""
+    """Build the certificate, check all of it, take P and d2 from the check,
+    and make Q as the column replay of the identity."""
     cert = build_certificate(params)
     report = require_accepted(check_certificate(cert))
-    p, q = report.basis or (None, None)
+    p, positions = report.basis or (None, None)
+    q = p and column_replay(cert.basis_ops, RingMatrix.identity(p.nrows), positions, params)
     return ChainExport(params, d1_matrix(params), report.d2, cert.alpha, p, q)
 
 

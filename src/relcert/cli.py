@@ -107,11 +107,11 @@ def run_verification(
         groups.append(CheckGroup("basis-change invertibility", SKIP, reason))
         groups.append(CheckGroup("splitting onto the 3-cell summand", SKIP, reason))
     else:
-        # The last three groups read the one certificate check.  Once
-        # "basis reduction" passes, P Q = I follows by algebra (the ops are
-        # invertible); "basis inverse" rechecks it in a second association
-        # order.  Row i of the basis matrix P is alpha_i, so Q applied to
-        # alpha_i is row i of P Q, the i-th unit vector: the splitting.
+        # The last three groups read the one certificate check, which never
+        # forms Q.  Once "basis reduction" passes, P Q = I follows by algebra
+        # (the ops are invertible); "basis inverse" rechecks it in a second
+        # association order.  Row i of P is alpha_i, so Q applied to alpha_i
+        # is row i of P Q, the i-th unit vector: the splitting.
         passed = {item.name: item.passed for item in report.items}
         kernel = all(passed[f"alpha_{i} kernel"] for i in range(1, n))
         groups.append(_group("kernel membership of 3-cell attachments", kernel))

@@ -36,8 +36,12 @@ from .freewords import (
     generators,
     power_relator,
 )
-from .groupring import RingElement, from_terms, group_term, one, ring_mul, ring_sum, zero
-from .normalform import IDENTITY, GroupElement, Syllable, ginv, gmul, project, torsion_power, free_power
+from .groupring import (
+    RingElement, free_term, from_terms, group_term, one, ring_mul, ring_sum, torsion_term, zero
+)
+from .normalform import (
+    IDENTITY, GroupElement, Syllable, _new_syllable, ginv, gmul, project, torsion_power, free_power
+)
 
 
 class RingVector:
@@ -189,7 +193,6 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
     of g's factor merged in at the left.  fox_derivative is the per-generator
     reference for these columns."""
     cols: list[dict[GroupElement, int]] = [{} for _ in range(2 * params.n)]
-    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
     inv: tuple[Syllable, ...] = ()
     for g, e in w.letters:
         i = g.index
@@ -208,7 +211,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
         exponents, c = (range(e), 1) if e > 0 else (range(-1, e - 1, -1), -1)
         for j in exponents:
             k, m = ((k0 - j) % r, m0) if torsion else (k0, m0 - j)
-            key = GroupElement((new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest)
+            key = GroupElement((_new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest)
             # c has one sign per letter: v is 0 only where key holds -c.
             v = col.get(key, 0) + c
             if v:
@@ -216,7 +219,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
             else:
                 del col[key]
         k, m = ((k0 - e) % r, m0) if torsion else (k0, m0 - e)
-        inv = (new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest
+        inv = (_new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest
     return RingVector(tuple(RingElement(col) for col in cols))
 
 
@@ -236,8 +239,8 @@ def d2_matrix(params: PresentationParams) -> RingMatrix:
 def d1_matrix(params: PresentationParams) -> RingMatrix:
     """First boundary map: 2n x 1, the row of edge x holding x^-1 - 1."""
     return RingMatrix(tuple(
-        RingVector((group_term(_letter_power(g, -1, params)) - one(),))
-        for g in generators(params.n)
+        RingVector((term(i, -1, params) - one(),))
+        for i in range(1, params.n + 1) for term in (torsion_term, free_term)
     ))
 
 

@@ -40,6 +40,7 @@ from .normalform import (
     GroupElement,
     Syllable,
     _append_syllable,
+    _new_syllable,
     canonical_key,
     check_reduced,
     element_to_text,
@@ -266,11 +267,10 @@ def _split_mul(local, other: RingElement, left: bool, params: PresentationParams
 
 def _wrap(factor: int, stride: int, cells, rest: GroupElement, left: bool, out: dict):
     """out with each cell's term added: its syllable joined to rest, first if left."""
-    new_syllable = tuple.__new__  # Syllable(...) without its Python-level __new__
     for cell, c in cells.items():
         if cell:
             m, k = divmod(cell, stride)
-            syllable = (new_syllable(Syllable, (factor, k, m)),)
+            syllable = (_new_syllable(Syllable, (factor, k, m)),)
             out[GroupElement(syllable + rest if left else rest + syllable)] = c
         else:
             out[rest] = c

@@ -162,6 +162,16 @@ def test_alpha_is_commutator_row_minus_generator_combination():
             assert total == RingVector.unit(2 * p.n, i - 1)
 
 
+def reference_inverse(ops, positions, params):
+    """Q = Pi^-1 E the long way: replay the trace on the identity, then move
+    row r of the result to row positions[r]."""
+    trace = replay(ops, RingMatrix.identity(len(positions)), params)
+    rows = [None] * len(positions)
+    for row_index, position in enumerate(positions):
+        rows[position] = trace.rows[row_index]
+    return RingMatrix(tuple(rows))
+
+
 def test_basis_change():
     for p in FAMILIES:
         cert = build_certificate(p)
@@ -173,8 +183,11 @@ def test_basis_change():
         reduced = replay(ops, basis_matrix(cert), p)
         positions = permutation_of_identity(reduced)
         assert positions is not None and sorted(positions) == list(range(size))
-        # the checker keeps the pair it checked
-        assert check_certificate(cert).basis == (P, Q)
+        # the checker keeps the matrix and permutation it checked, not Q
+        assert check_certificate(cert).basis == (P, positions)
+        # Q is the column replay of the identity, in basis_change and in complex
+        assert Q == reference_inverse(ops, positions, p) == column_replay(ops, ident, positions, p)
+        assert build_chain_export(p).q == Q
     single = build_certificate(PresentationParams((2,)))
     assert check_certificate(single).basis is None
     with pytest.raises(ParameterError):
@@ -245,14 +258,34 @@ def test_column_replay_matches_compose_on_tampered_traces(orders):
     params = PresentationParams(orders)
     cert = build_certificate(params)
     tampered = _with_cancelling_pairs(cert.basis_ops, random.Random(sum(orders)), params)
-    p, q = check_certificate(cert).basis
+    p, positions = check_certificate(cert).basis
+    q = reference_inverse(cert.basis_ops, positions, params)
     expected = compose(p, q, params)
-    assert expected == RingMatrix.identity(2 * params.n)
+    ident = RingMatrix.identity(2 * params.n)
+    assert expected == ident
     report = check_certificate(cert._replace(basis_ops=tampered))
-    assert report.accepted and report.basis == (p, q)
+    assert report.accepted and report.basis == (p, positions)
     for ops in (cert.basis_ops, tampered):
         positions = permutation_of_identity(replay(ops, p, params))
         assert column_replay(ops, p, positions, params) == expected
+        # the column replay of the identity is Q, the same for both traces
+        inverse = column_replay(ops, ident, positions, params)
+        assert inverse == reference_inverse(ops, positions, params) == q
+
+
+def test_check_certificate_replays_the_trace_once(monkeypatch):
+    calls = []
+
+    def counted(ops, matrix, params):
+        calls.append(matrix)
+        return replay(ops, matrix, params)
+
+    monkeypatch.setattr(certificate, "replay", counted)
+    for p in FAMILIES + [PresentationParams((5, 7, 9, 11, 13))]:
+        cert = build_certificate(p)
+        calls.clear()
+        assert check_certificate(cert).accepted
+        assert len(calls) == 1 and calls[0] == basis_matrix(cert)
 
 
 def test_splitting_report():

@@ -36,6 +36,7 @@ from relcert.groupring import (
     norm_element,
     one,
     ring_mul,
+    ring_to_text,
     torsion_term,
     zero,
 )
@@ -148,6 +149,17 @@ def test_d1_entries():
     assert d1[0][0] == torsion_term(1, -1, P23) - one()
     assert d1[1][0] == free_term(1, -1, P23) - one()
     assert d1[3][0] == free_term(2, -1, P23) - one()
+    # Each entry x^-1 - 1 is born in cell form, with the value and text of
+    # the dict-form group_term(x^-1) - 1.
+    for p in (PRIMES8, P509):
+        d1 = d1_matrix(p)
+        assert d1.nrows == 2 * p.n
+        for g, row in zip(generators(p.n), d1.rows):
+            entry = row[0]
+            expected = group_term(project(FreeWord(((g, -1),)), p)) - one()
+            assert entry.local is not None and expected.local is None
+            assert entry == expected
+            assert ring_to_text(entry) == ring_to_text(expected)
 
 
 def test_chain_condition():
