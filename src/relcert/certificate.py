@@ -113,7 +113,7 @@ def _reconstruct(
     params: PresentationParams,
 ) -> RingVector:
     """sum_k gens_k * coeffs_k."""
-    return apply(RingMatrix(tuple(gens)), RingVector(tuple(coeffs)), params)
+    return apply(RingMatrix(gens), RingVector(coeffs), params)
 
 
 def _alpha_coords(
@@ -123,7 +123,7 @@ def _alpha_coords(
     params: PresentationParams,
 ) -> RingVector:
     # alpha_i = D_i - sum_k Xhat_k * lam[k][i] over D1..Dn, E1..En; lifted rows are Xhat_k.
-    column = RingVector(tuple(row[i - 1] for row in lam))
+    column = RingVector(row[i - 1] for row in lam)
     return RingVector.unit(2 * params.n, i - 1) - apply(lifted, column, params)
 
 
@@ -168,11 +168,11 @@ def build_certificate(params: PresentationParams) -> Certificate:
     mu_columns = []
     for i in range(1, n + 1):
         shear = one() - torsion_term(i, 1, params)
-        lam_column = RingVector(tuple(row[i - 1] for row in lam))
+        lam_column = RingVector(row[i - 1] for row in lam)
         mu_columns.append(RingVector.unit(n + 1, i - 1) - lam_column.act(shear, params))
-    mu = tuple(zip(*(column.entries for column in mu_columns)))
+    mu = tuple(zip(*mu_columns))
 
-    lifted = RingMatrix(tuple(lifted_generator(k, params) for k in range(1, n + 2)))
+    lifted = RingMatrix(lifted_generator(k, params) for k in range(1, n + 2))
     alphas = tuple(_alpha_coords(i, lam, lifted, params) for i in range(1, n))
     ops = _basis_ops(lam, params) if n >= 2 else ()
     return Certificate(params, crt, lam, mu, alphas, ops)
@@ -184,13 +184,13 @@ def replay(
     params: PresentationParams,
 ) -> RingMatrix:
     """Apply an elementary-operation trace to the rows of a matrix."""
-    rows = list(matrix.rows)
+    rows = list(matrix)
     size = len(rows)
     for op in ops:
         if not (0 <= op.src < size and 0 <= op.dst < size):
             raise ParameterError(f"operation rows ({op.src}, {op.dst}) out of range 0..{size - 1}")
         rows[op.dst] = rows[op.dst] + rows[op.src].act(op.coeff, params)
-    return RingMatrix(tuple(rows))
+    return RingMatrix(rows)
 
 
 def permutation_of_identity(m: RingMatrix) -> list[int] | None:
@@ -198,9 +198,9 @@ def permutation_of_identity(m: RingMatrix) -> list[int] | None:
     position; otherwise None."""
     unit = one()
     positions = []
-    for row in m.rows:
+    for row in m:
         pos = -1
-        for j, entry in enumerate(row.entries):
+        for j, entry in enumerate(row):
             if entry.is_zero:
                 continue
             if pos >= 0 or entry != unit:
@@ -209,7 +209,7 @@ def permutation_of_identity(m: RingMatrix) -> list[int] | None:
         if pos < 0:
             return None
         positions.append(pos)
-    if len(set(positions)) != len(positions) or m.nrows != m.ncols:
+    if len(set(positions)) != len(positions) or len(m) != m.ncols:
         return None
     return positions
 
@@ -221,7 +221,7 @@ def basis_matrix(cert: Certificate) -> RingMatrix:
     n = params.n
     rows = list(cert.alpha)
     rows += [lifted_generator(k, params) for k in range(1, n + 2)]
-    return RingMatrix(tuple(rows))
+    return RingMatrix(rows)
 
 
 NOT_REDUCED = "operation trace does not reduce to a basis permutation"
@@ -242,13 +242,13 @@ def column_replay(
     product is M Pi^-1 E_m ... E_1: start from M with column k replaced by
     column positions[k], then run the ops backwards as column operations,
     column src += coeff * column dst (coeff multiplying on the left)."""
-    cols = [[row.entries[j] for row in matrix.rows] for j in positions]
+    cols = [[row[j] for row in matrix] for j in positions]
     for op in reversed(ops):
         cols[op.src] = [
             s if d.is_zero else s + ring_mul(op.coeff, d, params)
             for s, d in zip(cols[op.src], cols[op.dst])
         ]
-    return RingMatrix(tuple(RingVector(entries) for entries in zip(*cols)))
+    return RingMatrix(RingVector(entries) for entries in zip(*cols))
 
 
 def _check_basis(cert: Certificate) -> tuple[RingMatrix, list[int] | None, bool]:
@@ -266,7 +266,7 @@ def _check_basis(cert: Certificate) -> tuple[RingMatrix, list[int] | None, bool]
     if positions is None:
         return p, None, False
     product = column_replay(cert.basis_ops, p, positions, params)
-    return p, positions, product == RingMatrix.identity(p.nrows)
+    return p, positions, product == RingMatrix.identity(len(p))
 
 
 def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRightMultiple, ...]]:
@@ -280,7 +280,7 @@ def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRi
     p, positions, inverts = _check_basis(cert)
     if not inverts:
         raise VerificationError(NOT_REDUCED if positions is None else NOT_INVERSE)
-    q = column_replay(cert.basis_ops, RingMatrix.identity(p.nrows), positions, cert.params)
+    q = column_replay(cert.basis_ops, RingMatrix.identity(len(p)), positions, cert.params)
     return p, q, cert.basis_ops
 
 
@@ -399,8 +399,8 @@ def check_relations(cert: Certificate) -> CheckReport:
     d2 = d2_matrix(params)
     gens = [module_generator(k, d2, params) for k in range(1, n + 2)]
     for family, coeffs, classes, detail in (
-        ("D", cert.lam, d2.rows[:n], "sum_k X_k lambda_ki equals the commutator class"),
-        ("E", cert.mu, d2.rows[n:], "sum_k X_k mu_ki equals the power class"),
+        ("D", cert.lam, d2[:n], "sum_k X_k lambda_ki equals the commutator class"),
+        ("E", cert.mu, d2[n:], "sum_k X_k mu_ki equals the power class"),
     ):
         for i, image in enumerate(classes, start=1):
             got = _reconstruct(gens, [coeffs[k][i - 1] for k in range(n + 1)], params)
@@ -449,15 +449,20 @@ def check_certificate(cert: Certificate) -> CheckReport:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _matrix_texts(rows) -> list[list[str]]:
+    """The ring text of every entry, row by row."""
+    return [[ring_to_text(e) for e in row] for row in rows]
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     return {
         "version": cert.version,
         "r": list(cert.params.r),
         "t": list(cert.crt.t),
         "s": [list(row) for row in cert.crt.s],
-        "lambda": [[ring_to_text(e) for e in row] for row in cert.lam],
-        "mu": [[ring_to_text(e) for e in row] for row in cert.mu],
-        "alpha": [[ring_to_text(e) for e in a.entries] for a in cert.alpha],
+        "lambda": _matrix_texts(cert.lam),
+        "mu": _matrix_texts(cert.mu),
+        "alpha": _matrix_texts(cert.alpha),
         "basis_ops": [
             {
                 "op": "add_right_multiple",
@@ -617,12 +622,8 @@ def build_chain_export(params: PresentationParams) -> ChainExport:
     cert = build_certificate(params)
     report = require_accepted(check_certificate(cert))
     p, positions = report.basis or (None, None)
-    q = p and column_replay(cert.basis_ops, RingMatrix.identity(p.nrows), positions, params)
+    q = p and column_replay(cert.basis_ops, RingMatrix.identity(len(p)), positions, params)
     return ChainExport(params, d1_matrix(params), report.d2, cert.alpha, p, q)
-
-
-def _matrix_texts(m: RingMatrix) -> list[list[str]]:
-    return [[ring_to_text(e) for e in row.entries] for row in m.rows]
 
 
 def chain_export_to_json(export: ChainExport) -> dict:
@@ -634,9 +635,9 @@ def chain_export_to_json(export: ChainExport) -> dict:
         "c1_labels": c1_labels(n),
         "c2_labels": c2_labels(n),
         "d3_labels": [f"alpha{i}" for i in range(1, n)],
-        "d1": [ring_to_text(row[0]) for row in export.d1.rows],
+        "d1": [ring_to_text(row[0]) for row in export.d1],
         "d2": _matrix_texts(export.d2),
-        "d3": [[ring_to_text(e) for e in a.entries] for a in export.d3],
+        "d3": _matrix_texts(export.d3),
         "P": _matrix_texts(export.p) if export.p is not None else None,
         "Q": _matrix_texts(export.q) if export.q is not None else None,
     }

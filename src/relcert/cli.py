@@ -90,7 +90,7 @@ def run_verification(
         groups.append(_group(name, not bad, tuple(bad)))
 
     d1 = d1_matrix(params)
-    ok = all(apply(d1, row, params).is_zero for row in d2.rows)
+    ok = all(apply(d1, row, params).is_zero for row in d2)
     groups.append(_group("chain condition d1 after d2 = 0", ok))
 
     rng = random.Random(seed)

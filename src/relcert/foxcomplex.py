@@ -44,104 +44,82 @@ from .normalform import (
 )
 
 
-class RingVector:
-    """A fixed-width tuple of ring elements (one chain-group coordinate each)."""
+class RingVector(tuple):
+    """A fixed-width tuple of ring elements (one chain-group coordinate each).
+    + and - act entry-wise; a vector is not hashable, as its entries are not."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
     __hash__ = None
-
-    def __init__(self, entries: tuple[RingElement, ...]):
-        self.entries = entries
 
     @staticmethod
     def unit(width: int, position: int) -> "RingVector":
         if not 0 <= position < width:
             raise ParameterError(f"unit position {position} out of range 0..{width - 1}")
-        return RingVector(
-            tuple(one() if j == position else zero() for j in range(width))
-        )
-
-    @property
-    def width(self) -> int:
-        return len(self.entries)
+        return RingVector(one() if j == position else zero() for j in range(width))
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
-
-    def __getitem__(self, j: int) -> RingElement:
-        return self.entries[j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RingVector) and self.entries == other.entries
+        return all(e.is_zero for e in self)
 
     def __add__(self, other: "RingVector") -> "RingVector":
-        if self.width != other.width:
-            raise ParameterError(f"width mismatch {self.width} != {other.width}")
-        return RingVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        if len(self) != len(other):
+            raise ParameterError(f"width mismatch {len(self)} != {len(other)}")
+        return RingVector(a + b for a, b in zip(self, other))
 
     def __sub__(self, other: "RingVector") -> "RingVector":
-        if self.width != other.width:
-            raise ParameterError(f"width mismatch {self.width} != {other.width}")
-        return RingVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        if len(self) != len(other):
+            raise ParameterError(f"width mismatch {len(self)} != {len(other)}")
+        return RingVector(a - b for a, b in zip(self, other))
 
     def act(self, coeff: RingElement, params: PresentationParams) -> "RingVector":
-        """Entry-wise right multiplication by a ring element."""
-        return RingVector(tuple(ring_mul(e, coeff, params) for e in self.entries))
+        """Entry-wise right multiplication by a ring element.  A zero entry is
+        kept, not multiplied, so the result may share it with self."""
+        return RingVector(e if e.is_zero else ring_mul(e, coeff, params) for e in self)
 
     def __repr__(self) -> str:
-        return f"RingVector([{', '.join(str(e) for e in self.entries)}])"
+        return f"RingVector([{', '.join(str(e) for e in self)}])"
 
 
-class RingMatrix:
-    """A rectangular tuple of equal-width rows."""
+class RingMatrix(tuple):
+    """A rectangular tuple of equal-width rows; not hashable."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
     __hash__ = None
 
-    def __init__(self, rows: tuple[RingVector, ...]):
-        widths = {row.width for row in rows}
+    def __new__(cls, rows):
+        rows = tuple(rows)
+        widths = {len(row) for row in rows}
         if len(widths) > 1:
             raise ParameterError(f"ragged matrix: row widths {sorted(widths)}")
-        self.rows = rows
+        return super().__new__(cls, rows)
 
     @staticmethod
     def identity(size: int) -> "RingMatrix":
-        return RingMatrix(tuple(RingVector.unit(size, i) for i in range(size)))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+        return RingMatrix(RingVector.unit(size, i) for i in range(size))
 
     @property
     def ncols(self) -> int:
-        return self.rows[0].width if self.rows else 0
-
-    def __getitem__(self, i: int) -> RingVector:
-        return self.rows[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RingMatrix) and self.rows == other.rows
+        return len(self[0]) if self else 0
 
 
 def apply(m: RingMatrix, v: RingVector, params: PresentationParams) -> RingVector:
     """Image of the element with coordinates v: sum_k row_k * v_k."""
-    if v.width != m.nrows:
+    if len(v) != len(m):
         raise ParameterError(
-            f"coefficient vector width {v.width} != row count {m.nrows}"
+            f"coefficient vector width {len(v)} != row count {len(m)}"
         )
     cols = []
-    live = [(k, vk) for k, vk in enumerate(v.entries) if not vk.is_zero]
+    live = [(k, vk) for k, vk in enumerate(v) if not vk.is_zero]
     for c in range(m.ncols):
         col = None
         for k, vk in live:
-            entry = m.rows[k].entries[c]
+            entry = m[k][c]
             if not entry.is_zero:
                 # ring_mul's result is fresh, so the column may sum into it.
                 product = ring_mul(entry, vk, params)
                 col = product if col is None else ring_sum(col, product, in_place=True)
         cols.append(zero() if col is None else col)
-    return RingVector(tuple(cols))
+    return RingVector(cols)
 
 
 def compose(first: RingMatrix, second: RingMatrix, params: PresentationParams) -> RingMatrix:
@@ -149,11 +127,11 @@ def compose(first: RingMatrix, second: RingMatrix, params: PresentationParams) -
 
     Row i of the result is second applied to row i of first, so
     apply(compose(A, B), v) = apply(B, apply(A, v)) for every v."""
-    if first.ncols != second.nrows:
+    if first.ncols != len(second):
         raise ParameterError(
-            f"inner dimensions differ: {first.ncols} != {second.nrows}"
+            f"inner dimensions differ: {first.ncols} != {len(second)}"
         )
-    return RingMatrix(tuple(apply(second, row, params) for row in first.rows))
+    return RingMatrix(apply(second, row, params) for row in first)
 
 
 def _letter_power(gen: Generator, e: int, params: PresentationParams) -> GroupElement:
@@ -169,7 +147,7 @@ def fox_derivative(w: FreeWord, gen: Generator, params: PresentationParams) -> R
     with words evaluated through the quotient projection."""
     terms: list[tuple[GroupElement, int]] = []
     prefix = IDENTITY
-    for g, e in w.letters:
+    for g, e in w:
         if g == gen:
             # d(x^e)/dx = sum_{j=0}^{e-1} x^j   (e > 0)
             #           = -sum_{j=1}^{|e|} x^-j (e < 0)
@@ -194,7 +172,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
     reference for these columns."""
     cols: list[dict[GroupElement, int]] = [{} for _ in range(2 * params.n)]
     inv: tuple[Syllable, ...] = ()
-    for g, e in w.letters:
+    for g, e in w:
         i = g.index
         params.check_index(i)
         r = params.r[i - 1]
@@ -220,7 +198,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
                 del col[key]
         k, m = ((k0 - e) % r, m0) if torsion else (k0, m0 - e)
         inv = (_new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest
-    return RingVector(tuple(RingElement(col) for col in cols))
+    return RingVector(RingElement(col) for col in cols)
 
 
 def d2_matrix(params: PresentationParams) -> RingMatrix:
@@ -233,15 +211,15 @@ def d2_matrix(params: PresentationParams) -> RingMatrix:
     n = params.n
     rows = [starred_fox_row(commutator_relator(i), params) for i in range(1, n + 1)]
     rows += [starred_fox_row(power_relator(i, params), params) for i in range(1, n + 1)]
-    return RingMatrix(tuple(rows))
+    return RingMatrix(rows)
 
 
 def d1_matrix(params: PresentationParams) -> RingMatrix:
     """First boundary map: 2n x 1, the row of edge x holding x^-1 - 1."""
-    return RingMatrix(tuple(
+    return RingMatrix(
         RingVector((term(i, -1, params) - one(),))
         for i in range(1, params.n + 1) for term in (torsion_term, free_term)
-    ))
+    )
 
 
 def fundamental_identity_holds(w: FreeWord, d1: RingMatrix, params: PresentationParams) -> bool:

@@ -94,14 +94,13 @@ def _brief(value) -> str:
     return repr(value)
 
 
-class FreeWord:
-    """A freely reduced word; the empty word is the identity."""
+class FreeWord(tuple):
+    """A freely reduced word as its tuple of (generator, exponent) letters;
+    the empty word is the identity.  Hash and equality are tuple's.
+    FreeWord(letters) trusts letters to be reduced; use from_letters for
+    raw input."""
 
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: tuple[tuple[Generator, int], ...] = ()):
-        # Trusted to be reduced; use from_letters for raw input.
-        self.letters = letters
+    __slots__ = ()
 
     @staticmethod
     def from_letters(pairs: Iterable[tuple[Generator, int]]) -> "FreeWord":
@@ -120,17 +119,13 @@ class FreeWord:
                     out.append((gen, merged))
             else:
                 out.append((gen, exp))
-        return FreeWord(tuple(out))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
+        return FreeWord(out)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord.from_letters(self.letters + other.letters)
+        return FreeWord.from_letters(self + other)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.letters)))
+        return FreeWord((g, -e) for g, e in reversed(self))
 
     def __pow__(self, k: int) -> "FreeWord":
         if k < 0:
@@ -143,12 +138,6 @@ class FreeWord:
             if k:
                 base = base * base
         return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeWord) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
 
     def __repr__(self) -> str:
         return f"FreeWord({word_to_text(self)!r})"
@@ -232,7 +221,7 @@ def verify_free_identities(i: int, params: PresentationParams) -> bool:
         w1 == w2
         and w2 == w3
         and w3 == w4
-        and torsion_relator_commutator(i, params).is_identity
+        and not torsion_relator_commutator(i, params)
     )
 
 
@@ -249,9 +238,9 @@ def random_word(rng: random.Random, n: int, max_len: int = 20) -> FreeWord:
 
 def word_to_text(w: FreeWord) -> str:
     """Serialize to the word grammar; deterministic, space-separated."""
-    if not w.letters:
+    if not w:
         return "e"
-    return " ".join(str(g) if e == 1 else f"{g}^{e}" for g, e in w.letters)
+    return " ".join(str(g) if e == 1 else f"{g}^{e}" for g, e in w)
 
 
 def scan_int(text: str, pos: int) -> tuple[int | None, int]:

@@ -31,10 +31,6 @@ class GroupElement(tuple):
     def syllables(self) -> tuple[Syllable, ...]:
         return self
 
-    @property
-    def is_identity(self) -> bool:
-        return not self
-
     def __repr__(self) -> str:
         return f"GroupElement({element_to_text(self)!r})"
 
@@ -65,7 +61,7 @@ def project(w: FreeWord, params: PresentationParams) -> GroupElement:
     r = params.r
     n = params.n
     stack: list[Syllable] = []
-    for gen, exp in w.letters:
+    for gen, exp in w:
         i = gen.index
         if not 0 < i <= n:
             bound = f"exceeds n={n}" if i > n else "is below 1"

@@ -118,4 +118,4 @@ def lifted_generator(k: int, params: PresentationParams) -> RingVector:
     else:
         for j in range(n):
             entries[j] = one()
-    return RingVector(tuple(entries))
+    return RingVector(entries)

@@ -154,7 +154,7 @@ class Rho:
     def word(self, w):
         """rho of a free word, letter by letter."""
         out = self.identity
-        for gen, e in w.letters:
+        for gen, e in w:
             out = _mul(out, self.letter(gen.kind, gen.index, e), self.p)
         return out
 
@@ -213,7 +213,7 @@ class Rho:
         p = self.p
         cols = [self.zero] * (2 * len(self._factors))
         inv = self.identity  # rho(u)^-1
-        for gen, e in w.letters:
+        for gen, e in w:
             col = 2 * gen.index - 2 + (gen.kind != KIND_TORSION)
             exponents, c = (range(e), 1) if e > 0 else (range(-1, e - 1, -1), -1)
             for j in exponents:

@@ -84,8 +84,8 @@ def test_criterion_2_chain_conditions():
         for family in FAMILIES:
             params = PresentationParams(family)
             d1, d2 = d1_matrix(params), d2_matrix(params)
-            assert d2.nrows == 2 * params.n
-            for row in d2.rows:
+            assert len(d2) == 2 * params.n
+            for row in d2:
                 assert apply(d1, row, params).is_zero
         params = PresentationParams((2, 3, 5))
         d1 = d1_matrix(params)

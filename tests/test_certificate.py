@@ -168,7 +168,7 @@ def reference_inverse(ops, positions, params):
     trace = replay(ops, RingMatrix.identity(len(positions)), params)
     rows = [None] * len(positions)
     for row_index, position in enumerate(positions):
-        rows[position] = trace.rows[row_index]
+        rows[position] = trace[row_index]
     return RingMatrix(tuple(rows))
 
 
@@ -205,7 +205,7 @@ def test_replay_and_inverted_ops():
 
 def _permuted_columns(m, positions):
     """M Pi^-1: column k of the result is column positions[k] of M."""
-    return RingMatrix(tuple(RingVector(tuple(row[j] for j in positions)) for row in m.rows))
+    return RingMatrix(tuple(RingVector(tuple(row[j] for j in positions)) for row in m))
 
 
 @st.composite
@@ -231,7 +231,7 @@ def column_replay_cases(draw, params=P235):
 @given(column_replay_cases())
 def test_column_replay_matches_compose(case):
     m, positions, ops = case
-    trace = replay(ops, RingMatrix.identity(m.nrows), P235)
+    trace = replay(ops, RingMatrix.identity(len(m)), P235)
     expected = compose(_permuted_columns(m, positions), trace, P235)
     assert column_replay(ops, m, positions, P235) == expected
 

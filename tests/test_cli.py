@@ -278,7 +278,7 @@ def test_verify_chain_groups_on_bad_trace(monkeypatch):
 def test_verify_chain_groups_on_bad_alpha(monkeypatch):
     def corrupt(cert):
         first = cert.alpha[0]
-        bad = type(first)((first[0] + one(),) + first.entries[1:])
+        bad = type(first)((first[0] + one(),) + first[1:])
         return type(cert)(cert.params, cert.crt, cert.lam, cert.mu,
                           (bad,) + cert.alpha[1:], cert.basis_ops)
 
@@ -361,7 +361,7 @@ def test_built_certificate_fault_exits_1(command, monkeypatch, tmp_path, capsys)
 
     def corrupt(i, lam, lifted, params):
         alpha = alpha_coords(i, lam, lifted, params)
-        return type(alpha)((alpha[0] + one(),) + alpha.entries[1:]) if i == 1 else alpha
+        return type(alpha)((alpha[0] + one(),) + alpha[1:]) if i == 1 else alpha
 
     monkeypatch.setattr(certificate, "_alpha_coords", corrupt)
     path = tmp_path / "out.json"

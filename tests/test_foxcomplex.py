@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcert import foxcomplex
 from relcert.errors import ParameterError
 from relcert.freewords import (
     EMPTY_WORD,
@@ -111,7 +112,7 @@ def fox_words(draw):
 def test_starred_fox_row_matches_fox_derivative(case):
     params, w = case
     row = starred_fox_row(w, params)
-    assert row.width == 2 * params.n
+    assert len(row) == 2 * params.n
     for col, x in enumerate(generators(params.n)):
         assert row[col] == star(fox_derivative(w, x, params), params)
         assert_syllable_keys(row[col].terms)
@@ -131,7 +132,7 @@ def test_fox_row_rejects_generator_index(index):
 
 def test_d2_entries():
     d2 = d2_matrix(P23)
-    assert d2.nrows == 4 and d2.ncols == 4
+    assert len(d2) == 4 and d2.ncols == 4
     # commutator row 1
     assert d2[0][0] == one() - free_term(1, -1, P23)
     assert d2[0][1] == torsion_term(1, -1, P23) - one()
@@ -145,7 +146,7 @@ def test_d2_entries():
 
 def test_d1_entries():
     d1 = d1_matrix(P23)
-    assert d1.nrows == 4 and d1.ncols == 1
+    assert len(d1) == 4 and d1.ncols == 1
     assert d1[0][0] == torsion_term(1, -1, P23) - one()
     assert d1[1][0] == free_term(1, -1, P23) - one()
     assert d1[3][0] == free_term(2, -1, P23) - one()
@@ -153,8 +154,8 @@ def test_d1_entries():
     # the dict-form group_term(x^-1) - 1.
     for p in (PRIMES8, P509):
         d1 = d1_matrix(p)
-        assert d1.nrows == 2 * p.n
-        for g, row in zip(generators(p.n), d1.rows):
+        assert len(d1) == 2 * p.n
+        for g, row in zip(generators(p.n), d1):
             entry = row[0]
             expected = group_term(project(FreeWord(((g, -1),)), p)) - one()
             assert entry.local is not None and expected.local is None
@@ -165,7 +166,7 @@ def test_d1_entries():
 def test_chain_condition():
     for p in (P23, P235, PresentationParams((7,))):
         d1, d2 = d1_matrix(p), d2_matrix(p)
-        for row in d2.rows:
+        for row in d2:
             assert apply(d1, row, p).is_zero
 
 
@@ -216,6 +217,23 @@ def test_apply_is_right_linear():
         assert apply(d2, u + v, P23) == apply(d2, u, P23) + apply(d2, v, P23)
         assert apply(d2, u.act(lam, P23), P23) == apply(d2, u, P23).act(lam, P23)
 
+
+def test_act_skips_zero_entries(monkeypatch):
+    calls = []
+
+    def counted(x, y, params):
+        calls.append(x)
+        return ring_mul(x, y, params)
+
+    monkeypatch.setattr(foxcomplex, "ring_mul", counted)
+    coeff = norm_element(2, P23) - free_term(1, 1, P23)
+    for row in d2_matrix(P23):
+        calls.clear()
+        got = row.act(coeff, P23)
+        assert len(calls) == sum(not e.is_zero for e in row)
+        assert not any(e.is_zero for e in calls)
+        assert got == tuple(ring_mul(e, coeff, P23) for e in row)
+        assert all(g is e for g, e in zip(got, row) if e.is_zero)
 
 def test_compose_consistency_random():
     # apply(compose(A, B), v) = apply(B, apply(A, v))

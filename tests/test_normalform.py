@@ -35,8 +35,8 @@ P3 = PresentationParams((3, 5))
 def test_project_kills_relators():
     for p in (P23, P235):
         for i in range(1, p.n + 1):
-            assert project(commutator_relator(i), p).is_identity
-            assert project(power_relator(i, p), p).is_identity
+            assert not project(commutator_relator(i), p)
+            assert not project(power_relator(i, p), p)
 
 
 def test_project_example():
@@ -66,8 +66,8 @@ def test_relator_conjugates_project_to_identity():
     for _ in range(200):
         g = random_word(rng, 3)
         i = rng.randint(1, 3)
-        assert project(conjugate_by(commutator_relator(i), g), P235).is_identity
-        assert project(conjugate_by(power_relator(i, P235), g), P235).is_identity
+        assert not project(conjugate_by(commutator_relator(i), g), P235)
+        assert not project(conjugate_by(power_relator(i, P235), g), P235)
 
 
 def test_factor_generators_commute():
@@ -90,7 +90,7 @@ def test_gmul_cascading_cancellation():
     # (a1 b2) * (b2^-1 a1^2) fully collapses under r1 = 3
     x = GroupElement((Syllable(1, 1, 0), Syllable(2, 0, 1)))
     y = GroupElement((Syllable(2, 0, -1), Syllable(1, 2, 0)))
-    assert gmul(x, y, P3).is_identity
+    assert not gmul(x, y, P3)
 
 
 def test_ginv_and_group_axioms_random():
@@ -99,7 +99,7 @@ def test_ginv_and_group_axioms_random():
         x = project(random_word(rng, 3), P235)
         y = project(random_word(rng, 3), P235)
         z = project(random_word(rng, 3), P235)
-        assert gmul(x, ginv(x, P235), P235).is_identity
+        assert not gmul(x, ginv(x, P235), P235)
         assert gmul(gmul(x, y, P235), z, P235) == gmul(x, gmul(y, z, P235), P235)
         assert ginv(gmul(x, y, P235), P235) == gmul(ginv(y, P235), ginv(x, P235), P235)
 
@@ -145,9 +145,9 @@ def test_canonical_order():
 
 
 def test_torsion_and_free_power():
-    assert torsion_power(1, 3, P3).is_identity
+    assert not torsion_power(1, 3, P3)
     assert torsion_power(1, -1, P3) == torsion_power(1, 2, P3)
-    assert free_power(1, 0, P3).is_identity
+    assert not free_power(1, 0, P3)
     with pytest.raises(ParameterError):
         torsion_power(5, 1, P3)
 

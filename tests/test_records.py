@@ -1,5 +1,6 @@
 """The immutable records: field names, order and defaults, value equality,
-immutability, validation and the derived properties."""
+immutability, validation and the derived properties.  The vectors,
+matrices and words are their own tuples and are held to the same checks."""
 
 import json
 
@@ -20,9 +21,10 @@ from relcert.certificate import (
 )
 from relcert.cli import CheckGroup, run_verification
 from relcert.errors import ParameterError
-from relcert.freewords import Generator, PresentationParams, agen
-from relcert.groupring import one
-from relcert.normalform import Syllable
+from relcert.foxcomplex import RingMatrix, RingVector, d2_matrix
+from relcert.freewords import FreeWord, Generator, PresentationParams, agen, commutator_relator
+from relcert.groupring import one, zero
+from relcert.normalform import IDENTITY, Syllable
 
 PARAMS = PresentationParams((2, 3))
 
@@ -30,8 +32,11 @@ PARAMS = PresentationParams((2, 3))
 RECORDS = (
     "AddRightMultiple", "ChainExport", "CheckGroup", "CheckItem", "CheckReport",
     "Certificate", "CrtData", "Generator", "PresentationParams", "Syllable",
-    "SplittingReport",
+    "SplittingReport", "FreeWord", "RingMatrix", "RingVector",
 )
+
+# The slot each tuple type kept its items in before it became a tuple.
+FORMER_SLOTS = {"FreeWord": "letters", "RingMatrix": "rows", "RingVector": "entries"}
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +55,9 @@ def records():
         "CheckReport": report,
         "ChainExport": build_chain_export(PARAMS),
         "CheckGroup": run_verification(PARAMS, sample=5)[0],
+        "FreeWord": commutator_relator(1),
+        "RingMatrix": report.d2,
+        "RingVector": report.d2[0],
     }
 
 
@@ -57,8 +65,9 @@ def records():
 def test_fields_cannot_be_assigned(name, records):
     record = records[name]
     assert type(record).__name__ == name
+    field = FORMER_SLOTS[name] if name in FORMER_SLOTS else record._fields[0]
     with pytest.raises(AttributeError):
-        setattr(record, record._fields[0], None)
+        setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None
 
@@ -102,6 +111,35 @@ def test_records_equal_plain_tuples_of_their_fields():
     # Unlike a dataclass, a namedtuple record equals the tuple of its fields.
     assert CheckItem("t range", True) == ("t range", True, "")
     assert PARAMS == ((2, 3),)
+    # A word, vector or matrix equals the plain tuple of its items.
+    word = commutator_relator(1)
+    assert word == tuple(word) and hash(word) == hash(tuple(word))
+    assert len({word, tuple(word)}) == 1
+    assert FreeWord() == IDENTITY and hash(FreeWord()) == hash(IDENTITY)
+    assert not FreeWord() and word
+    d2 = d2_matrix(PARAMS)
+    assert d2 == tuple(d2) and d2[0] == tuple(d2[0])
+    # Vectors and matrices do not hash, not even empty ones.
+    for value in (d2, d2[0], RingVector(()), RingMatrix(())):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_vectors_and_matrices_check_their_shape():
+    u = RingVector((one(), zero()))
+    assert u + u == (2 * one(), zero())
+    assert len(u + u) == len(u - u) == 2
+    assert (u - u).is_zero
+    for short in (RingVector((one(),)), RingVector((one(), one(), one()))):
+        with pytest.raises(ParameterError, match="width mismatch"):
+            u + short
+        with pytest.raises(ParameterError, match="width mismatch"):
+            u - short
+    with pytest.raises(ParameterError, match="ragged matrix"):
+        RingMatrix((u, RingVector((one(),))))
+    m = RingMatrix((u, u))
+    assert len(m) == m.ncols == 2 and RingMatrix(()).ncols == 0
+    assert RingMatrix.identity(2) == ((one(), zero()), (zero(), one()))
 
 
 @pytest.mark.parametrize("src, dst", [(0, 0), (3, 3), (-1, 2), (2, -1)])

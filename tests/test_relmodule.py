@@ -186,7 +186,7 @@ def test_zero_detection():
     d = D23[0]
     assert not d.is_zero
     assert (d - d).is_zero
-    assert (d - d).width == 4
+    assert len(d - d) == 4
 
 
 def test_lifted_generators():

@@ -173,7 +173,7 @@ def ring_texts(rng, params, count):
         for t in range(rng.randint(1, 5)):
             w = random_word(rng, params.n, max_len=6)
             letters = [
-                (g, e * rng.choice((1, 1, params.order(g.index) + 1, -7))) for g, e in w.letters
+                (g, e * rng.choice((1, 1, params.order(g.index) + 1, -7))) for g, e in w
             ]
             if letters and rng.random() < 0.5:
                 letters.insert(rng.randrange(len(letters)), letters[rng.randrange(len(letters))])
