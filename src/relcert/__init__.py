@@ -3,7 +3,7 @@ of C_r x Z factors: relation-module identities, generation certificates
 over the n+1 distinguished generators, and chain-level boundary data."""
 
 from .freewords import FreeWord, Generator, PresentationParams
-from .normalform import GroupElement, Syllable
+from .normalform import GroupElement
 from .groupring import RingElement
 from .foxcomplex import RingMatrix, RingVector
 from .certificate import Certificate, CrtData
@@ -18,7 +18,6 @@ __all__ = [
     "RingElement",
     "RingMatrix",
     "RingVector",
-    "Syllable",
 ]
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .groupring import (
     RingElement, free_term, from_terms, group_term, one, ring_mul, ring_sum, torsion_term, zero
 )
 from .normalform import (
-    IDENTITY, GroupElement, Syllable, _new_syllable, ginv, gmul, project, torsion_power, free_power
+    IDENTITY, GroupElement, ginv, gmul, project, torsion_power, free_power
 )
 
 
@@ -171,7 +171,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
     of g's factor merged in at the left.  fox_derivative is the per-generator
     reference for these columns."""
     cols: list[dict[GroupElement, int]] = [{} for _ in range(2 * params.n)]
-    inv: tuple[Syllable, ...] = ()
+    inv: tuple[tuple[int, int, int], ...] = ()
     for g, e in w:
         i = g.index
         params.check_index(i)
@@ -179,7 +179,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
         torsion = g.kind == KIND_TORSION
         # inv is reduced and alternates factors, so g^-j meets its first
         # syllable at most and a vanishing merge cascades no further.
-        if inv and inv[0].factor == i:
+        if inv and inv[0][0] == i:
             _, k0, m0 = inv[0]
             rest = inv[1:]
         else:
@@ -189,7 +189,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
         exponents, c = (range(e), 1) if e > 0 else (range(-1, e - 1, -1), -1)
         for j in exponents:
             k, m = ((k0 - j) % r, m0) if torsion else (k0, m0 - j)
-            key = GroupElement((_new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest)
+            key = GroupElement(((i, k, m),) + rest if k or m else rest)
             # c has one sign per letter: v is 0 only where key holds -c.
             v = col.get(key, 0) + c
             if v:
@@ -197,7 +197,7 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
             else:
                 del col[key]
         k, m = ((k0 - e) % r, m0) if torsion else (k0, m0 - e)
-        inv = (_new_syllable(Syllable, (i, k, m)),) + rest if k or m else rest
+        inv = ((i, k, m),) + rest if k or m else rest
     return RingVector(RingElement(col) for col in cols)
 
 

@@ -13,17 +13,18 @@ give cell form; products, sums and equality of operands that read as cells
 of one factor stay on cells, and terms are built from cells when read.
 
 Multiplication takes one of two exact paths and both give the same value.
-When one operand x lies in one factor f's subring, ring_mul splits the
-other operand at its boundary syllable: y = sum_s v_s s over the reduced
-suffixes s that do not start in f, each v_s in f's subring (for y x,
-prefixes that do not end in f).  Then x y = sum_s (x v_s) s, and keys of
-different groups never meet.  Each x v_s is a product inside one factor's
-subring on plain integer cells: by Kronecker substitution, one big-integer
-product folded by a^r = 1 while unpacking, when the operands' shape says
-it pays (_packs), and by a cell convolution otherwise.  A product of two
-elements of one subring is the case of a single group with suffix (), in
-cell form.  A product in which neither operand lies in one factor's
-subring runs the plain convolution, one gmul per pair of keys (_convolve).
+When the left operand x lies in one factor f's subring, ring_mul splits
+the right operand at its first syllable: y = sum_s v_s s over the reduced
+suffixes s that do not start in f, each v_s in f's subring.  Then
+x y = sum_s (x v_s) s, and keys of different groups never meet.  Each
+x v_s is a product inside one factor's subring on plain integer cells: by
+Kronecker substitution, one big-integer product folded by a^r = 1 while
+unpacking, when the operands' shape says it pays (_packs), and by a cell
+convolution otherwise.  A product of two elements of one subring is the
+case of a single group with suffix (), in cell form.  Any other product,
+one-factor operand on the right included, runs the plain convolution, one
+gmul per pair of keys (_convolve).  No command makes one: every one-factor
+coefficient is written as the left operand of its product.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from .freewords import PresentationParams, parse_word, scan_int
 from .normalform import (
     IDENTITY,
     GroupElement,
-    Syllable,
     _append_syllable,
-    _new_syllable,
     canonical_key,
     check_reduced,
     element_to_text,
@@ -66,7 +65,7 @@ class RingElement:
         if name != "terms":
             raise AttributeError(name)
         factor, r, cells = self.local
-        self.terms = terms = _wrap(factor, 2 * r, cells, IDENTITY, True, {})
+        self.terms = terms = _wrap(factor, 2 * r, cells, IDENTITY, {})
         return terms
 
     @property
@@ -159,8 +158,8 @@ def free_term(i: int, m: int, params: PresentationParams, c: int = 1) -> RingEle
 
 
 def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> RingElement:
-    """Bilinear extension of the group product: grouped by boundary syllable
-    (_split_mul) when one operand lies in one factor's subring, by the plain
+    """Bilinear extension of the group product: grouped by y's first syllable
+    (_split_mul) when x lies in one factor's subring, by the plain
     convolution (_convolve) otherwise.  The result is a fresh element."""
     xl, yl = x.local, y.local
     xt, yt = xl[2] if xl else x.terms, yl[2] if yl else y.terms
@@ -173,10 +172,7 @@ def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> Ring
         return sum(xt.values()) * y
     local = _factor_cells(x, params)
     if local is not None:
-        return _split_mul(local, y, True, params)
-    local = _factor_cells(y, params)
-    if local is not None:
-        return _split_mul(local, x, False, params)
+        return _split_mul(local, y, params)
     return RingElement(_convolve(x.terms, y.terms, params))
 
 
@@ -222,31 +218,30 @@ def _cells(x: RingElement, factor: int, r: int):
     return cells
 
 
-def _split_mul(local, other: RingElement, left: bool, params: PresentationParams) -> RingElement:
-    """x * other (left) or other * x (not left) for x = (f, r_f, cells) of
-    _factor_cells, the product grouped by boundary syllable.
+def _split_mul(local, other: RingElement, params: PresentationParams) -> RingElement:
+    """x * other for x = (f, r_f, cells) of _factor_cells, the product
+    grouped by the first syllable of other's keys.
 
-    Each key h of `other` splits as s_h h' (left) or h' s_h (not left), s_h
-    being h's first (last) syllable when it lies in f and the identity
-    otherwise.  Then x * other = sum over h' of (x v_h') h', where v_h' sums
-    c_h s_h over the keys with rest h' and lies in f's subring, like x.
-    Since h' does not start (end) in f, each product key is h' with at most
-    one syllable of f joined to it, and keys of different groups never
-    meet.  A cell-form `other` of f is the single group h' = () as it stands."""
+    Each key h of `other` splits as s_h h', s_h being h's first syllable
+    when it lies in f and the identity otherwise.  Then x * other = sum
+    over h' of (x v_h') h', where v_h' sums c_h s_h over the keys with rest
+    h' and lies in f's subring, like x.  Since h' does not start in f, each
+    product key is h' with at most one syllable of f put in front of it,
+    and keys of different groups never meet.  A cell-form `other` of f is
+    the single group h' = () as it stands."""
     factor, r, cells = local
     theirs = other.local
     if theirs and theirs[0] == factor and theirs[1] == r:
         groups = {IDENTITY: theirs[2]}
     else:
         stride = 2 * r
-        edge = 0 if left else -1
         groups: dict[GroupElement, dict[int, int]] = {}
         for h, c in other.terms.items():
             check_reduced(h, params)
-            if h and h[edge][0] == factor:
-                _, k, m = h[edge]
+            if h and h[0][0] == factor:
+                _, k, m = h[0]
                 cell = m * stride + k
-                rest = h[1:] if left else h[:-1]
+                rest = h[1:]
             else:
                 cell, rest = 0, h
             group = groups.get(rest)
@@ -261,17 +256,16 @@ def _split_mul(local, other: RingElement, left: bool, params: PresentationParams
         prod = (_kronecker_mul if _packs(cells, group, r) else _cell_mul)(cells, group, r)
         if not rest and len(groups) == 1:
             return RingElement(None, (factor, r, prod))
-        _wrap(factor, 2 * r, prod, rest, left, out)
+        _wrap(factor, 2 * r, prod, rest, out)
     return RingElement(out)
 
 
-def _wrap(factor: int, stride: int, cells, rest: GroupElement, left: bool, out: dict):
-    """out with each cell's term added: its syllable joined to rest, first if left."""
+def _wrap(factor: int, stride: int, cells, rest: GroupElement, out: dict):
+    """out with each cell's term added: its syllable put in front of rest."""
     for cell, c in cells.items():
         if cell:
             m, k = divmod(cell, stride)
-            syllable = (_new_syllable(Syllable, (factor, k, m)),)
-            out[GroupElement(syllable + rest if left else rest + syllable)] = c
+            out[GroupElement(((factor, k, m),) + rest)] = c
         else:
             out[rest] = c
     return out
@@ -567,7 +561,7 @@ def _read_word(word: str, params: PresentationParams) -> GroupElement | None:
         return None
     r = params.r
     n = len(r)
-    stack: list[Syllable] = []
+    stack: list[tuple[int, int, int]] = []
     for kind, index, exp in _LETTER.findall(word):
         i = int(index)
         if not 0 < i <= n:

@@ -9,17 +9,12 @@ A GroupElement is that tuple, so it hashes and compares as a plain tuple.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .errors import ParameterError
 from .freewords import KIND_TORSION, FreeWord, PresentationParams
 
 
-# One-factor syllable a_factor^k b_factor^m: k is the torsion exponent,
-# reduced into [0, r_factor), and m the free exponent.
-Syllable = namedtuple("Syllable", "factor k m")
-
-
+# A syllable a_factor^k b_factor^m is the plain tuple (factor, k, m): k is
+# the torsion exponent, reduced into [0, r_factor), and m the free exponent.
 class GroupElement(tuple):
     """Normal form as its tuple of syllables; the empty tuple is the group
     identity.  Hash and equality are tuple's, so a plain syllable tuple
@@ -28,7 +23,8 @@ class GroupElement(tuple):
     __slots__ = ()
 
     @property
-    def syllables(self) -> tuple[Syllable, ...]:
+    def syllables(self) -> tuple[tuple[int, int, int], ...]:
+        """The element itself, for readers of keys (perfbench/tracer.py)."""
         return self
 
     def __repr__(self) -> str:
@@ -40,12 +36,8 @@ class GroupElement(tuple):
 
 IDENTITY = GroupElement()
 
-# _new_syllable(Syllable, (f, k, m)) is Syllable(f, k, m) without its
-# Python-level __new__.
-_new_syllable = tuple.__new__
 
-
-def _append_syllable(stack: list[Syllable], factor: int, k: int, m: int, r_factor: int):
+def _append_syllable(stack: list[tuple[int, int, int]], factor: int, k: int, m: int, r_factor: int):
     # Incoming k must already lie in [0, r_factor); cancellations cascade
     # because each incoming syllable is compared against the exposed top.
     if stack and stack[-1][0] == factor:
@@ -53,14 +45,14 @@ def _append_syllable(stack: list[Syllable], factor: int, k: int, m: int, r_facto
         k = (prev[1] + k) % r_factor
         m = prev[2] + m
     if k or m:
-        stack.append(_new_syllable(Syllable, (factor, k, m)))
+        stack.append((factor, k, m))
 
 
 def project(w: FreeWord, params: PresentationParams) -> GroupElement:
     """Image of a free word in the quotient; kills both relator families."""
     r = params.r
     n = params.n
-    stack: list[Syllable] = []
+    stack: list[tuple[int, int, int]] = []
     for gen, exp in w:
         i = gen.index
         if not 0 < i <= n:
@@ -104,22 +96,20 @@ def check_reduced(x: GroupElement, params: PresentationParams) -> None:
 def ginv(x: GroupElement, params: PresentationParams) -> GroupElement:
     check_reduced(x, params)
     r = params.r
-    return GroupElement(
-        [_new_syllable(Syllable, (f, -k % r[f - 1], -m)) for f, k, m in reversed(x)]
-    )
+    return GroupElement([(f, -k % r[f - 1], -m) for f, k, m in reversed(x)])
 
 
 def torsion_power(i: int, j: int, params: PresentationParams) -> GroupElement:
     """a_i^j in normal form."""
     params.check_index(i)
     k = j % params.r[i - 1]
-    return GroupElement((_new_syllable(Syllable, (i, k, 0)),)) if k else IDENTITY
+    return GroupElement(((i, k, 0),)) if k else IDENTITY
 
 
 def free_power(i: int, m: int, params: PresentationParams) -> GroupElement:
     """b_i^m in normal form."""
     params.check_index(i)
-    return GroupElement((_new_syllable(Syllable, (i, 0, m)),)) if m else IDENTITY
+    return GroupElement(((i, 0, m),)) if m else IDENTITY
 
 
 def canonical_key(x: GroupElement):

@@ -447,6 +447,12 @@ def _swap_lambda_columns(obj):
         row[0], row[1] = row[1], row[0]
 
 
+def _two_factor_alpha_entry(obj):
+    # a1 b2 lies in no one factor's subring, so products with this entry on
+    # the right have no one-factor operand on the left.
+    obj["alpha"][0][0] += " + a1 b2"
+
+
 STRUCTURAL_MUTANTS = {
     "drop-first-op": (lambda obj: obj["basis_ops"].pop(0), "basis reduction, basis inverse"),
     "drop-last-op": (lambda obj: obj["basis_ops"].pop(), "basis reduction, basis inverse"),
@@ -454,6 +460,9 @@ STRUCTURAL_MUTANTS = {
     "swap-lambda-columns": (_swap_lambda_columns, "D_1 reconstruction, D_2 reconstruction"),
     "drop-alpha-row": (lambda obj: obj["alpha"].pop(), None),
     "truncate-alpha-row": (lambda obj: obj["alpha"][0].pop(), None),
+    "two-factor-alpha-entry": (
+        _two_factor_alpha_entry, "alpha_1 kernel, basis reduction, basis inverse"
+    ),
 }
 
 

@@ -323,6 +323,27 @@ def test_verify_reconstructs_each_family_once(monkeypatch):
     assert len(calls) == 2 * params.n  # D_i and E_i, each once
 
 
+def test_commands_make_no_plain_convolution(monkeypatch, tmp_path, capsys):
+    # Every one-factor coefficient is written as the left operand of its
+    # product, so ring_mul splits it and never falls back to _convolve.
+    calls = []
+    convolve = groupring._convolve
+
+    def counting(*args):
+        calls.append(1)
+        return convolve(*args)
+
+    monkeypatch.setattr(groupring, "_convolve", counting)
+    cert = str(tmp_path / "cert.json")
+    assert main(["verify", "--r", "2,3,5"]) == 0
+    assert main(["certificate", "--r", "2,3,5", "--out", cert]) == 0
+    assert main(["complex", "--r", "2,3,5", "--out", str(tmp_path / "complex.json")]) == 0
+    assert main(["check-cert", cert]) == 0
+    assert main(["verify", "--r", "7"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_verify_builds_d1_once(monkeypatch):
     calls = []
     d1_matrix = foxcomplex.d1_matrix

@@ -24,14 +24,14 @@ from relcert.errors import ParameterError
 from relcert.foxcomplex import RingMatrix, RingVector, d2_matrix
 from relcert.freewords import FreeWord, Generator, PresentationParams, agen, commutator_relator
 from relcert.groupring import one, zero
-from relcert.normalform import IDENTITY, Syllable
+from relcert.normalform import IDENTITY
 
 PARAMS = PresentationParams((2, 3))
 
 
 RECORDS = (
     "AddRightMultiple", "ChainExport", "CheckGroup", "CheckItem", "CheckReport",
-    "Certificate", "CrtData", "Generator", "PresentationParams", "Syllable",
+    "Certificate", "CrtData", "Generator", "PresentationParams",
     "SplittingReport", "FreeWord", "RingMatrix", "RingVector",
 )
 
@@ -46,7 +46,6 @@ def records():
     return {
         "PresentationParams": PARAMS,
         "Generator": agen(1),
-        "Syllable": Syllable(1, 1, 0),
         "CrtData": cert.crt,
         "AddRightMultiple": cert.basis_ops[0],
         "Certificate": cert,
@@ -75,7 +74,6 @@ def test_fields_cannot_be_assigned(name, records):
 def test_field_names_and_order():
     assert PresentationParams._fields == ("r",)
     assert Generator._fields == ("kind", "index")
-    assert Syllable._fields == ("factor", "k", "m")
     assert AddRightMultiple._fields == ("src", "dst", "coeff")
     assert build_certificate(PARAMS)._fields == (
         "params", "crt", "lam", "mu", "alpha", "basis_ops", "version"
