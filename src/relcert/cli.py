@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .errors import ParameterError, ParseError, VerificationError
 from .freewords import PresentationParams, parse_word, random_word, verify_free_identities
-from .foxcomplex import apply, d1_matrix, d2_matrix, fundamental_identity_holds
+from .foxcomplex import apply, d1_matrix, fundamental_identity_holds
 from .groupring import check_cyclic_identities
 from .normalform import element_to_text, project
 from .relmodule import check_module_identities, check_reduction
@@ -61,13 +61,7 @@ def run_verification(
 
     # The certificate check builds the one d2 that the relator-class groups
     # and the chain condition read, so it runs first; its group keeps its place.
-    name = "generation certificate build and recheck"
-    try:
-        report = check_certificate(build_certificate(params))
-        certificate_group = _group(name, report.accepted, report.failures)
-    except VerificationError as exc:
-        report, certificate_group = None, _group(name, False, (str(exc),))
-    d2 = report.d2 if report is not None else d2_matrix(params)
+    report = check_certificate(build_certificate(params))
 
     ok = all(verify_free_identities(i, params) for i in range(1, n + 1))
     groups.append(_group("free-relator conjugation identities", ok))
@@ -78,9 +72,9 @@ def run_verification(
         ("cyclic norm/ramp ring identities",
          lambda i: check_cyclic_identities(i, params), False),
         ("relation-module action identities",
-         lambda i: check_module_identities(i, d2, params), False),
+         lambda i: check_module_identities(i, report.d2, params), False),
         ("square reduction identity (with four expansion terms)",
-         lambda i: check_reduction(i, d2, params), True),
+         lambda i: check_reduction(i, report.d2, params), True),
     ):
         bad = []
         for i in range(1, n + 1):
@@ -90,7 +84,7 @@ def run_verification(
         groups.append(_group(name, not bad, tuple(bad)))
 
     d1 = d1_matrix(params)
-    ok = all(apply(d1, row, params).is_zero for row in d2)
+    ok = all(apply(d1, row, params).is_zero for row in report.d2)
     groups.append(_group("chain condition d1 after d2 = 0", ok))
 
     rng = random.Random(seed)
@@ -99,13 +93,13 @@ def run_verification(
     )
     groups.append(_group(f"fundamental derivative identity ({sample} sampled words)", ok))
 
-    groups.append(certificate_group)
+    name = "generation certificate build and recheck"
+    groups.append(_group(name, report.accepted, report.failures))
 
-    if n < 2 or report is None:
-        reason = ("needs n >= 2",) if n < 2 else ("no certificate",)
-        groups.append(CheckGroup("kernel membership of 3-cell attachments", SKIP, reason))
-        groups.append(CheckGroup("basis-change invertibility", SKIP, reason))
-        groups.append(CheckGroup("splitting onto the 3-cell summand", SKIP, reason))
+    if n < 2:
+        for name in ("kernel membership of 3-cell attachments",
+                     "basis-change invertibility", "splitting onto the 3-cell summand"):
+            groups.append(CheckGroup(name, SKIP, ("needs n >= 2",)))
     else:
         # The last three groups read the one certificate check, which never
         # forms Q.  Once "basis reduction" passes, P Q = I follows by algebra

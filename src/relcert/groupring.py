@@ -111,8 +111,8 @@ def one() -> RingElement:
     return RingElement({IDENTITY: 1})
 
 
-def group_term(g: GroupElement, c: int = 1) -> RingElement:
-    return RingElement({g: c}) if c else RingElement({})
+def group_term(g: GroupElement) -> RingElement:
+    return RingElement({g: 1})
 
 
 def accumulate(acc: dict[GroupElement, int], pairs) -> dict[GroupElement, int]:
@@ -145,16 +145,16 @@ def ring_sum(x: RingElement, y: RingElement, sign: int = 1, in_place: bool = Fal
     return RingElement(None, (local[0], local[1], acc)) if local else RingElement(acc)
 
 
-def torsion_term(i: int, j: int, params: PresentationParams, c: int = 1) -> RingElement:
-    """c * a_i^j."""
+def torsion_term(i: int, j: int, params: PresentationParams) -> RingElement:
+    """a_i^j."""
     r = params.order(i)
-    return RingElement(None, (i, r, {j % r: c} if c else {}))
+    return RingElement(None, (i, r, {j % r: 1}))
 
 
-def free_term(i: int, m: int, params: PresentationParams, c: int = 1) -> RingElement:
-    """c * b_i^m."""
+def free_term(i: int, m: int, params: PresentationParams) -> RingElement:
+    """b_i^m."""
     r = params.order(i)
-    return RingElement(None, (i, r, {m * 2 * r: c} if c else {}))
+    return RingElement(None, (i, r, {m * 2 * r: 1}))
 
 
 def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> RingElement:

@@ -25,14 +25,12 @@ from .foxcomplex import RingMatrix, RingVector, apply
 from .groupring import (
     RingElement,
     free_term,
-    group_term,
     norm_element,
     one,
     ramp_element,
     ring_mul,
     torsion_term,
 )
-from .normalform import IDENTITY
 
 
 def module_generator(k: int, d2: RingMatrix, params: PresentationParams) -> RingVector:
@@ -83,7 +81,7 @@ def check_reduction(i: int, d2: RingMatrix, params: PresentationParams) -> dict[
     one_minus_a = one() - torsion_term(i, 1, params)
     one_minus_binv = one() - free_term(i, -1, params)
     norm_minus_r = norm - ri * one()
-    square = group_term(IDENTITY, ri * ri)
+    square = ri * ri * one()
     t1_coeff = ring_mul(one_minus_binv, norm, params)
     t2_coeff = ring_mul(norm_minus_r, ramp, params)
     t3_coeff = ring_mul(one_minus_a, t1_coeff, params)

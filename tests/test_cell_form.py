@@ -42,7 +42,7 @@ P235 = PresentationParams((2, 3, 5))
 def cell_form(x, factor, params):
     """x, an element of factor's subring, read into cell form through that
     factor's cell-form zero."""
-    z = torsion_term(factor, 0, params, 0) + x
+    z = 0 * torsion_term(factor, 0, params) + x
     assert z.local is not None
     return z
 
@@ -108,7 +108,7 @@ def test_builders_give_cell_form():
     params = PresentationParams((7, 5))
     for x in (
         torsion_term(2, 3, params),
-        free_term(1, -2, params, 5),
+        5 * free_term(1, -2, params),
         norm_element(1, params),
         ramp_element(2, params),
         one() - torsion_term(1, 1, params),
@@ -116,7 +116,7 @@ def test_builders_give_cell_form():
     ):
         assert x.local is not None
         assert_syllable_keys(x.terms)
-    assert torsion_term(1, 1, params, 0).is_zero
+    assert (0 * torsion_term(1, 1, params)).is_zero
 
 
 def test_cell_form_keeps_range_checks():
@@ -159,7 +159,7 @@ def test_apply_leaves_its_operands_unchanged(monkeypatch):
 
     def element():
         factor = rng.randint(1, params.n)
-        local = torsion_term(factor, rng.randrange(5), params, 3) - free_term(factor, 1, params)
+        local = 3 * torsion_term(factor, rng.randrange(5), params) - free_term(factor, 1, params)
         return rng.choice([
             lambda: ring_mul(norm_element(factor, params), local, params),
             lambda: local,

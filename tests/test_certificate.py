@@ -453,6 +453,15 @@ def _two_factor_alpha_entry(obj):
     obj["alpha"][0][0] += " + a1 b2"
 
 
+def _t_at_modulus(obj):
+    # The first integer past t's canonical range [0, prod r_j^2).
+    obj["t"][0] = math.prod(r * r for r in obj["r"])
+
+
+def _bump_cofactor(obj):
+    obj["s"][0][1] += 1
+
+
 STRUCTURAL_MUTANTS = {
     "drop-first-op": (lambda obj: obj["basis_ops"].pop(0), "basis reduction, basis inverse"),
     "drop-last-op": (lambda obj: obj["basis_ops"].pop(), "basis reduction, basis inverse"),
@@ -463,6 +472,8 @@ STRUCTURAL_MUTANTS = {
     "two-factor-alpha-entry": (
         _two_factor_alpha_entry, "alpha_1 kernel, basis reduction, basis inverse"
     ),
+    "t-at-modulus": (_t_at_modulus, "t range, t congruences, s cofactors, t sum"),
+    "bump-cofactor": (_bump_cofactor, "s cofactors"),
 }
 
 

@@ -394,6 +394,27 @@ def test_built_certificate_fault_exits_1(command, monkeypatch, tmp_path, capsys)
     assert not path.exists()
 
 
+def test_builder_crt_fault_reaches_the_checker(monkeypatch, capsys):
+    # The builder does not check its CRT data; the checker names the fault.
+    crt_coefficients = certificate.crt_coefficients
+
+    def off_by_one(params):
+        crt = crt_coefficients(params)
+        first = (crt.s[0][0] + 1,) + crt.s[0][1:]
+        return type(crt)(crt.t, (first,) + crt.s[1:])
+
+    monkeypatch.setattr(certificate, "crt_coefficients", off_by_one)
+    assert main(["verify", "--r", "2,3", "--format", "json"]) == 1
+    groups = {g["name"]: g for g in json.loads(capsys.readouterr().out)["groups"]}
+    assert "s cofactors" in groups["generation certificate build and recheck"]["details"]
+    assert main(["certificate", "--r", "2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "internal verification fault: built certificate fails s cofactors, "
+    )
+    assert captured.out == ""
+
+
 def _check_cert_edited(tmp_path, capsys, edit):
     """Exit code and stderr of check-cert on a (2,3) certificate whose JSON
     text went through edit."""

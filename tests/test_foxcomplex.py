@@ -53,7 +53,7 @@ P509 = PresentationParams((509,))
 def test_fox_axioms():
     a, b = agen(1), bgen(1)
     assert fox_derivative(FreeWord(((a, 1),)), a, P235) == one()
-    assert fox_derivative(FreeWord(((a, -1),)), a, P235) == torsion_term(1, -1, P235, -1)
+    assert fox_derivative(FreeWord(((a, -1),)), a, P235) == -torsion_term(1, -1, P235)
     assert fox_derivative(FreeWord(((b, 1),)), a, P235).is_zero
     assert fox_derivative(EMPTY_WORD, a, P235).is_zero
 

@@ -194,7 +194,7 @@ def test_ring_text_forms():
     assert ring_to_text(norm_element(1, P3)) == "e + a1 + a1^2"
     assert ring_to_text(norm_element(1, P3) - 3 * one()) == "-2*e + a1 + a1^2"
     assert ring_to_text(ramp_element(1, P3)) == "a1 + 2*a1^2"
-    mixed = free_term(1, -1, P3, -1) + 2 * one()
+    mixed = -free_term(1, -1, P3) + 2 * one()
     assert ring_to_text(mixed) == "2*e - b1^-1"
 
 
@@ -208,8 +208,8 @@ def test_ring_text_round_trip():
 def test_parse_ring_inputs():
     assert parse_ring("0", P3).is_zero
     assert parse_ring("e + a1 + a1^2", P3) == norm_element(1, P3)
-    assert parse_ring("2*a1 b1^-1", P3) == group_term(
-        gmul(torsion_power(1, 1, P3), free_power(1, -1, P3), P3), 2
+    assert parse_ring("2*a1 b1^-1", P3) == 2 * group_term(
+        gmul(torsion_power(1, 1, P3), free_power(1, -1, P3), P3)
     )
     # unnormalized spellings normalize on the way in
     assert parse_ring("a1^4", P3) == torsion_term(1, 1, P3)
@@ -472,7 +472,9 @@ def test_ring_mul_matches_reference(data, params):
     y = data.draw(syllable_elements(params))
     # The second product of each example adds a term a1 b2 that no sum of
     # drawn terms can cancel to both sides, so the plain convolution runs.
-    mixed = group_term(gmul(torsion_power(1, 1, params), free_power(2, 1, params), params), 2**210)
+    mixed = 2**210 * group_term(
+        gmul(torsion_power(1, 1, params), free_power(2, 1, params), params)
+    )
     general = (x + mixed, y - mixed)
     assert all(_factor_cells(z, params) is None for z in general)
     rho = rho_for(params)
@@ -490,8 +492,8 @@ def test_boundary_merges_cascade_to_identity():
     left = GroupElement((a1, a2))
     right = GroupElement(((2, 4, 0), (1, 2, 0)))
     assert _convolve({left: 3}, {right: -2}, P3) == {IDENTITY: -6}
-    x = group_term(left, 3) + one()
-    y = group_term(right, -2) + torsion_term(2, 1, P3)
+    x = 3 * group_term(left) + one()
+    y = -2 * group_term(right) + torsion_term(2, 1, P3)
     expected = reference_mul(x.terms, y.terms, P3)
     assert expected[IDENTITY] == -6
     product = ring_mul(x, y, P3).terms
@@ -637,7 +639,7 @@ def test_mixed_and_identity_operands_take_sparse(data, r, second):
     other = 3 - factor  # the second factor, or factor 2 of a one-factor params
     if params.n == 1:
         params = PresentationParams((r, r + 1))
-    cross = free_term(other, data.draw(st.integers(-3, 3)) or 1, params, 2)
+    cross = 2 * free_term(other, data.draw(st.integers(-3, 3)) or 1, params)
     mixed = x + cross  # keys in two factors
     two_syllables = x + group_term(
         gmul(torsion_power(factor, 1, params), free_power(other, 1, params), params)
@@ -769,7 +771,7 @@ def split_operands(draw):
             v = draw(factor_elements(params, f, r, max_terms=8, spread=2))
         if x.terms and draw(st.booleans()):
             g = draw(st.sampled_from(sorted(x.terms, key=canonical_key)))
-            v = v + group_term(ginv(g, params), draw(coefficients.filter(bool)))
+            v = v + draw(coefficients.filter(bool)) * group_term(ginv(g, params))
         head = draw(st.booleans())
         s = {word(head): 1}
         part = reference_mul(v.terms, s, params) if head else reference_mul(s, v.terms, params)
@@ -795,7 +797,7 @@ def test_split_group_products_vanish_or_leave_the_suffix():
     # the identity next to its suffix; and (1 - a1) N_1 = 0, so the N_1
     # parts of y add nothing to (1 - a1) y.  Both orientations.
     p = PresentationParams((5, 3))
-    x = group_term(gmul(torsion_power(1, 2, p), free_power(1, 1, p), p), 3)
+    x = 3 * group_term(gmul(torsion_power(1, 2, p), free_power(1, 1, p), p))
     shear = one() - torsion_term(1, 1, p)
     u = group_term(gmul(torsion_power(1, 3, p), free_power(1, -1, p), p))
     norm = norm_element(1, p)
