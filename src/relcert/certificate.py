@@ -7,8 +7,8 @@ over the n+1 distinguished generators, the kernel elements attached as
 of a free basis of C2.  Everything a certificate claims is re-checkable
 from its fields alone by ring arithmetic; the checker shares only that
 arithmetic with the builder, so a construction bug cannot vouch for
-itself.  build_certificate checks nothing, not even its CRT data: every
-command that emits built data runs the checker on it first.
+itself.  build_certificate checks nothing, CRT data included; before writing,
+`certificate` checks every claim except the basis-operation trace.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def _basis_ops(
 
 def build_certificate(params: PresentationParams) -> Certificate:
     """Construct a certificate for the given orders, unchecked (CRT data
-    too): the checker alone implements its identities (see require_accepted)."""
+    too): the checker alone judges it, and `certificate` runs it on every
+    claim except the basis-operation trace."""
     n = params.n
     crt = crt_coefficients(params)
     w = [reduction_multiplier(j, params) for j in range(1, n + 1)]
@@ -189,24 +190,15 @@ def replay(
 
 
 def permutation_of_identity(m: RingMatrix) -> list[int] | None:
-    """If each row is a distinct standard unit vector, the map row -> unit
-    position; otherwise None."""
+    """The map row -> unit position if m is a permutation matrix, else None:
+    each row has one nonzero entry, equal to one(), and the positions are
+    exactly 0..ncols-1 (so m is square; a row with no such entry reads -1)."""
     unit = one()
     positions = []
     for row in m:
-        pos = -1
-        for j, entry in enumerate(row):
-            if entry.is_zero:
-                continue
-            if pos >= 0 or entry != unit:
-                return None
-            pos = j
-        if pos < 0:
-            return None
-        positions.append(pos)
-    if len(set(positions)) != len(positions) or len(m) != m.ncols:
-        return None
-    return positions
+        live = [j for j, entry in enumerate(row) if not entry.is_zero]
+        positions.append(live[0] if len(live) == 1 and row[live[0]] == unit else -1)
+    return positions if sorted(positions) == list(range(m.ncols)) else None
 
 
 def basis_matrix(cert: Certificate) -> RingMatrix:
@@ -254,14 +246,15 @@ def _check_basis(cert: Certificate) -> tuple[RingMatrix, list[int] | None, bool]
     E P = Pi for E = E_m ... E_1 makes Q = Pi^-1 E a two-sided inverse of P.
     The check never forms Q (column_replay of the identity, where exported).
     P Q is still computed, as (P Pi^-1) E by column_replay: a recheck of the
-    arithmetic in the other association order."""
+    arithmetic in the other association order, judged by the one permutation
+    test: P Q = I exactly when permutation_of_identity reads the identity."""
     params = cert.params
     p = basis_matrix(cert)
     positions = permutation_of_identity(replay(cert.basis_ops, p, params))
     if positions is None:
         return p, None, False
     product = column_replay(cert.basis_ops, p, positions, params)
-    return p, positions, product == RingMatrix.identity(len(p))
+    return p, positions, permutation_of_identity(product) == list(range(len(p)))
 
 
 def basis_change(cert: Certificate) -> tuple[RingMatrix, RingMatrix, tuple[AddRightMultiple, ...]]:
@@ -386,7 +379,7 @@ def check_relations(cert: Certificate) -> CheckReport:
     )
     items.append(CheckItem("s cofactors", ok, "t_i + r_j^2 s_ij = delta_ij"))
 
-    ok = sum(cert.crt.t) % big == 1 % big
+    ok = sum(cert.crt.t) % big == 1
     items.append(CheckItem("t sum", ok, "sum of t_i = 1 mod prod r_j^2"))
 
     # Rows 1..n of d2 are the commutator classes D_i, rows n+1..2n the

@@ -203,6 +203,35 @@ def test_replay_and_inverted_ops():
     assert replay(undo, forward, p) == m
 
 
+def _rows(*rows):
+    return RingMatrix(RingVector(row) for row in rows)
+
+
+E, O = one(), zero()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        _rows((E, O), (O, O)),
+        _rows((E, E), (O, E)),
+        _rows((2 * E, O), (O, E)),
+        _rows((parse_ring("a1", P23), O), (O, E)),
+        _rows((E, O), (E, O)),
+        _rows((E, O, O), (O, E, O)),
+        _rows((E, O), (O, E), (E, O)),
+    ],
+    ids=["zero-row", "two-entries", "2e", "a1", "repeated-row", "2x3", "3x2"],
+)
+def test_permutation_of_identity_rejects(m):
+    assert permutation_of_identity(m) is None
+
+
+def test_permutation_of_identity_positions():
+    assert permutation_of_identity(_rows((O, O, E), (E, O, O), (O, E, O))) == [2, 0, 1]
+    assert permutation_of_identity(RingMatrix(())) == []
+
+
 def _permuted_columns(m, positions):
     """M Pi^-1: column k of the result is column positions[k] of M."""
     return RingMatrix(tuple(RingVector(tuple(row[j] for j in positions)) for row in m))

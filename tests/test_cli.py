@@ -290,6 +290,37 @@ def test_verify_chain_groups_on_bad_alpha(monkeypatch):
     ]
 
 
+def _swap_first_rows(m):
+    return type(m)((m[1], m[0]) + m[2:])
+
+
+def _bump_first_diagonal(m):
+    first = m[0]
+    return type(m)((type(first)((first[0] + one(),) + first[1:]),) + m[1:])
+
+
+@pytest.mark.parametrize(
+    "fault", [_swap_first_rows, _bump_first_diagonal], ids=["swap-rows", "bump-diagonal"]
+)
+def test_basis_inverse_fails_alone(fault, monkeypatch, tmp_path, capsys):
+    """A P Q that is another permutation, or no permutation at all, fails
+    basis inverse and no other item."""
+    column_replay = certificate.column_replay
+    monkeypatch.setattr(certificate, "column_replay", lambda *args: fault(column_replay(*args)))
+    params = PresentationParams((2, 3, 5))
+    cert = certificate.build_certificate(params)
+    assert certificate.check_certificate(cert).failures == ("basis inverse",)
+    path = tmp_path / "cert.json"
+    path.write_bytes(certificate.certificate_bytes(cert))
+    assert main(["check-cert", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "certificate rejected: basis inverse"
+    groups = run_verification(params, seed=0, sample=5)
+    assert [(g.status, g.details) for g in groups[8:10]] == [
+        ("fail", ("basis matrix and its claimed inverse do not cancel",)),
+        ("skip", ("no basis change",)),
+    ]
+
+
 @pytest.mark.parametrize(
     "orders, edit",
     [
