@@ -7,11 +7,14 @@ normal form of a word).
 
 Exit codes: 0 all checks passed, 1 a mathematical check was falsified or
 a certificate rejected, 2 usage or parse error.
+
+A well-formed argv is parsed by hand (`_parse_plain`); help, usage errors
+and every other spelling go to the argparse parser, imported only then.
+Both read one table of subcommands and options.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import namedtuple
@@ -239,7 +242,27 @@ def _parse_r(text: str) -> PresentationParams:
     return PresentationParams(values)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# argparse keywords per option; per subcommand its help line, its one
+# positional (or None) and its options in --help order.  Both parsers read these.
+_OPTIONS = {
+    "--r": {"default": ",".join(str(v) for v in DEFAULT_R),
+            "help": "comma-separated torsion orders, pairwise coprime, each >= 2"},
+    "--out": {"default": None, "help": "output path ('-' for stdout)"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+}
+_COMMANDS = {
+    "verify": ("run every check group", None, ("--r", "--format", "--seed")),
+    "certificate": ("emit the generation certificate", None, ("--r", "--out")),
+    "check-cert": ("re-validate a certificate file", "path", ()),
+    "complex": ("export chain-level data", None, ("--r", "--out")),
+    "normalize": ("print the normal form of a word", "word", ("--r",)),
+}
+
+
+def _build_parser():
+    import argparse  # only here: building the parser costs about 3 ms a command
+
     parser = argparse.ArgumentParser(
         prog="relcert",
         description=(
@@ -249,47 +272,63 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_out=False, with_format=False, with_seed=False):
-        p.add_argument(
-            "--r",
-            default=",".join(str(v) for v in DEFAULT_R),
-            help="comma-separated torsion orders, pairwise coprime, each >= 2",
-        )
-        if with_out:
-            p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        if with_format:
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    add_common(sub.add_parser("verify", help="run every check group"),
-               with_format=True, with_seed=True)
-    add_common(sub.add_parser("certificate", help="emit the generation certificate"),
-               with_out=True)
-    check = sub.add_parser("check-cert", help="re-validate a certificate file")
-    check.add_argument("path")
-    add_common(sub.add_parser("complex", help="export chain-level data"), with_out=True)
-    norm = sub.add_parser("normalize", help="print the normal form of a word")
-    norm.add_argument("word")
-    add_common(norm)
+    for name, (help_text, positional, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if positional:
+            command.add_argument(positional)
+        for option in options:
+            command.add_argument(option, **_OPTIONS[option])
     return parser
 
 
+def _parse_plain(argv: list[str]) -> dict | None:
+    """What argparse would parse from a well-formed argv, else None: a
+    subcommand, then its positional and each of its options at most once as
+    `--name value`, none starting with '-', and each value of its choices and
+    type.  Help, errors and other spellings are argparse's to parse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positional, options = _COMMANDS[argv[0]]
+    args = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if positional is None or positional in args:
+                return None
+            args[positional] = token
+            continue
+        value = next(tokens, "-")  # a missing value fails as "-" does
+        if token not in options or token[2:] in args or value.startswith("-"):
+            return None
+        spec = _OPTIONS[token]
+        if value not in spec.get("choices", (value,)):
+            return None
+        try:
+            args[token[2:]] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    if positional and positional not in args:
+        return None
+    for option in options:
+        args.setdefault(option[2:], _OPTIONS[option]["default"])
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv) or vars(_build_parser().parse_args(argv))
     try:
-        if args.command == "check-cert":
-            return cmd_check_cert(args.path)
-        params = _parse_r(args.r)
-        if args.command == "verify":
-            return cmd_verify(params, args.seed, args.format)
-        if args.command == "certificate":
-            return cmd_certificate(params, args.out)
-        if args.command == "complex":
-            return cmd_complex(params, args.out)
-        return cmd_normalize(args.word, params)
+        if args["command"] == "check-cert":
+            return cmd_check_cert(args["path"])
+        params = _parse_r(args["r"])
+        if args["command"] == "verify":
+            return cmd_verify(params, args["seed"], args["format"])
+        if args["command"] == "certificate":
+            return cmd_certificate(params, args["out"])
+        if args["command"] == "complex":
+            return cmd_complex(params, args["out"])
+        return cmd_normalize(args["word"], params)
     except (ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

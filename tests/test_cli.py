@@ -1,9 +1,12 @@
+import itertools
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcert import certificate, cli, foxcomplex, groupring, relmodule
 from relcert.cli import main, run_verification
@@ -498,9 +501,136 @@ def test_import_loads_no_heavy_modules():
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import relcert.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'random'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'random', 'argparse'}"
+        " & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def _run_main(argv):
+    """A fresh `python -S` process that imports relcert.cli and runs main(argv)."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from relcert.cli import main; "
+        f"code = main({argv!r}); "
+        "print('argparse' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+
+
+def test_well_formed_command_loads_no_argparse():
+    result = _run_main(["certificate", "--r", "2,3"])
+    assert result.returncode == 0
+    assert result.stderr == "False\n"
+    assert result.stdout.startswith("{")
+
+
+def test_help_goes_to_argparse():
+    result = _run_main(["--help"])
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: relcert")
+
+
+# Each subcommand's required chunks and optional chunks, in canonical spelling.
+CANONICAL = {
+    "verify": ([], [["--r", "2,3"], ["--format", "json"], ["--seed", "7"]]),
+    "certificate": ([], [["--r", "2,3"], ["--out", "c.json"]]),
+    "check-cert": ([["c.json"]], []),
+    "complex": ([], [["--r", "2,3"], ["--out", "c.json"]]),
+    "normalize": ([["a1 b1"]], [["--r", "2,3"]]),
+}
+
+
+def _canonical_argvs():
+    for command, (required, optional) in CANONICAL.items():
+        for k in range(len(optional) + 1):
+            for chosen in itertools.combinations(optional, k):
+                for order in itertools.permutations(required + list(chosen)):
+                    yield [command, *itertools.chain.from_iterable(order)]
+
+
+def test_hand_parser_takes_every_option_order():
+    argvs = list(_canonical_argvs())
+    assert len(argvs) == 16 + 5 + 1 + 5 + 3
+    for argv in argvs:
+        assert cli._parse_plain(argv) == vars(cli._build_parser().parse_args(argv)), argv
+
+
+ARGV_TOKENS = [
+    *cli._COMMANDS, "--r", "--out", "--format", "--seed",
+    "--r=2,3", "--form", "-h", "--", "-1", "-", "", "json", "xml", "text", "x", "2,3", "7",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["verify", "-h"], ["verify", "--r=2,3"], ["verify", "--form", "json"],
+        ["verify", "--r", "2,3", "--r", "2,3"], ["verify", "--format", "xml"],
+        ["verify", "--seed", "x"], ["verify", "--seed", "-1"], ["verify", "--"],
+        ["verify", "--r"], ["verify", "--out", "x"], ["verify", "x"], ["check-cert"],
+        ["check-cert", "a", "b"], ["normalize", "--r", "2,3", "-"], ["verif"],
+    ],
+    ids=" ".join,
+)
+def test_hand_parser_declines(argv):
+    assert cli._parse_plain(argv) is None
+
+
+TOKEN_LISTS = st.lists(st.sampled_from(ARGV_TOKENS), max_size=7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    TOKEN_LISTS,
+    st.builds(lambda command, rest: [command, *rest], st.sampled_from(list(cli._COMMANDS)), TOKEN_LISTS),
+))
+def test_hand_parser_agrees_with_argparse(argv):
+    # Either the hand parser declines, or argparse accepts the argv and parses
+    # it to the same arguments.
+    plain = cli._parse_plain(argv)
+    if plain is None:
+        return
+    try:
+        expected = vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        raise AssertionError(f"argparse rejects {argv}, which the hand parser took")
+    assert plain == expected
+
+
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        (["certificate", "--r", "5", "--r", "2,3"], ["certificate", "--r", "2,3"]),
+        (["certificate", "--r=2,3"], ["certificate", "--r", "2,3"]),
+        (["verify", "--r", "2,3", "--form", "json"], ["verify", "--r", "2,3", "--format", "json"]),
+        (["verify", "--r", "2,3", "--seed", "-1"], ["verify", "--r", "2,3", "--seed", "1"]),
+        (["certificate", "--r", "2,3", "--out", "-"], ["certificate", "--r", "2,3"]),
+    ],
+    ids=["repeated-last-wins", "equals", "abbreviation", "negative-seed", "dash-out"],
+)
+def test_fallback_spelling_matches_canonical(argv, canonical, capsys):
+    assert cli._parse_plain(argv) is None
+    assert cli._parse_plain(canonical) is not None
+    code = main(argv)
+    fallback = capsys.readouterr()
+    assert (code, fallback.out, fallback.err) == (main(canonical), *capsys.readouterr())
+    assert fallback.out
+
+
+def test_negative_seed_reaches_argparse():
+    assert vars(cli._build_parser().parse_args(["verify", "--seed", "-1"]))["seed"] == -1
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    # The console script calls main() with no argv; it too skips argparse.
+    argv = ["certificate", "--r", "2,3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["relcert", *argv])
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert main() == 0
+    assert capsys.readouterr().out == expected
