@@ -7,8 +7,7 @@ over the n+1 distinguished generators, the kernel elements attached as
 of a free basis of C2.  Everything a certificate claims is re-checkable
 from its fields alone by ring arithmetic; the checker shares only that
 arithmetic with the builder, so a construction bug cannot vouch for
-itself.  build_certificate checks nothing, CRT data included; before writing,
-`certificate` checks every claim except the basis-operation trace.
+itself.  build_certificate checks nothing, CRT data included.
 """
 
 from __future__ import annotations
@@ -148,8 +147,7 @@ def _basis_ops(
 
 def build_certificate(params: PresentationParams) -> Certificate:
     """Construct a certificate for the given orders, unchecked (CRT data
-    too): the checker alone judges it, and `certificate` runs it on every
-    claim except the basis-operation trace."""
+    too): the checker alone judges it."""
     n = params.n
     crt = crt_coefficients(params)
     w = [reduction_multiplier(j, params) for j in range(1, n + 1)]
@@ -185,8 +183,11 @@ def replay(
     for op in ops:
         if not (0 <= op.src < size and 0 <= op.dst < size):
             raise ParameterError(f"operation rows ({op.src}, {op.dst}) out of range 0..{size - 1}")
-        rows[op.dst] = rows[op.dst] + rows[op.src].act(op.coeff, params)
-    return RingMatrix(rows)
+        rows[op.dst] = [
+            d if s.is_zero else d + ring_mul(s, op.coeff, params)
+            for d, s in zip(rows[op.dst], rows[op.src])
+        ]
+    return RingMatrix(RingVector(row) for row in rows)
 
 
 def permutation_of_identity(m: RingMatrix) -> list[int] | None:
@@ -329,16 +330,17 @@ def euler_characteristic(n: int) -> int:
 CheckItem = namedtuple("CheckItem", "name passed detail", defaults=("",))
 
 
-class CheckReport(
-    namedtuple("CheckReport", "accepted items basis d2", defaults=(None, None))
-):
-    """The verdict and its CheckItems.  basis is the pair (P, positions) the
-    basis items checked (_check_basis, which never forms Q); None when n = 1
-    or when the trace does not reach a permutation.  d2 is the matrix the
-    reconstruction and alpha kernel items read, for every n.  The report
-    of check_certificate_json carries neither."""
+class CheckReport(namedtuple("CheckReport", "items basis d2", defaults=(None, None))):
+    """The CheckItems, accepted when all pass.  basis is the pair
+    (P, positions) the basis items checked (_check_basis, which never forms
+    Q); None when n = 1 or when the trace does not reach a permutation.  d2
+    is the matrix the reconstruction and alpha kernel items read, for every n."""
 
     __slots__ = ()
+
+    @property
+    def accepted(self) -> bool:
+        return all(item.passed for item in self.items)
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -352,9 +354,14 @@ def require_accepted(report: CheckReport) -> CheckReport:
     return report
 
 
-def check_relations(cert: Certificate) -> CheckReport:
-    """The items of check_certificate before the basis trace: the CRT
-    integers, both relator-class reconstructions and the alpha kernels."""
+def check_certificate(cert: Certificate) -> CheckReport:
+    """Independently re-check every identity a certificate claims.
+
+    Re-derives nothing: the stored integers are tested by modular
+    arithmetic, the stored coefficient matrices by reconstructing both
+    relator-class families, the stored kernel elements by boundary
+    application, and the stored trace by replay.  Shares only the ring
+    kernel with build_certificate."""
     params = cert.params
     n = params.n
     items: list[CheckItem] = []
@@ -402,21 +409,9 @@ def check_relations(cert: Certificate) -> CheckReport:
                 "boundary of the 3-cell attaching element vanishes",
             )
         )
-    return CheckReport(all(item.passed for item in items), tuple(items), d2=d2)
 
-
-def check_certificate(cert: Certificate) -> CheckReport:
-    """Independently re-check every identity a certificate claims.
-
-    Re-derives nothing: the stored integers are tested by modular
-    arithmetic, the stored coefficient matrices by reconstructing both
-    relator-class families, the stored kernel elements by boundary
-    application (these three are check_relations), and the stored trace by
-    replay.  Shares only the ring kernel with build_certificate."""
-    relations = check_relations(cert)
-    items = list(relations.items)
     basis = None
-    if cert.params.n >= 2:
+    if n >= 2:
         p, positions, inverts = _check_basis(cert)
         items.append(
             CheckItem(
@@ -431,7 +426,7 @@ def check_certificate(cert: Certificate) -> CheckReport:
             items.append(CheckItem("basis inverse", inverts, detail))
         else:
             items.append(CheckItem("basis inverse", False, "no permutation to invert"))
-    return CheckReport(all(item.passed for item in items), tuple(items), basis, relations.d2)
+    return CheckReport(tuple(items), basis, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +577,11 @@ def check_certificate_json(obj) -> CheckReport:
     try:
         params = _params_from_json(obj)
     except ParameterError as exc:
-        return CheckReport(False, (CheckItem("params", False, str(exc)),))
+        return CheckReport((CheckItem("params", False, str(exc)),))
     # Outside the try: a ParameterError from ring text is no params verdict.
-    cert = _certificate_fields(obj, params)
-    report = check_certificate(cert)
-    items = (CheckItem("params", True, "orders valid and pairwise coprime"),) + report.items
-    return CheckReport(report.accepted, items)
+    report = check_certificate(_certificate_fields(obj, params))
+    params_item = CheckItem("params", True, "orders valid and pairwise coprime")
+    return report._replace(items=(params_item,) + report.items)
 
 
 # ---------------------------------------------------------------------------

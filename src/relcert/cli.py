@@ -34,7 +34,6 @@ from .certificate import (
     chain_export_to_json,
     check_certificate,
     check_certificate_json,
-    check_relations,
     euler_characteristic,
     require_accepted,
 )
@@ -181,9 +180,8 @@ def _write_output(data: bytes, out: str | None) -> int:
 
 
 def cmd_certificate(params: PresentationParams, out: str | None) -> int:
-    # All but the basis trace, so this command does not pay for its replay.
     cert = build_certificate(params)
-    require_accepted(check_relations(cert))
+    require_accepted(check_certificate(cert))
     return _write_output(certificate_bytes(cert), out)
 
 

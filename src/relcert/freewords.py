@@ -227,13 +227,8 @@ def verify_free_identities(i: int, params: PresentationParams) -> bool:
 
 def random_word(rng: random.Random, n: int, max_len: int = 20) -> FreeWord:
     """Reduction of a uniformly random raw letter list of length <= max_len."""
-    raw = []
-    for _ in range(rng.randint(0, max_len)):
-        kind = rng.choice(_KINDS)
-        index = rng.randint(1, n)
-        exp = rng.choice((-3, -2, -1, 1, 2, 3))
-        raw.append((Generator(kind, index), exp))
-    return FreeWord.from_letters(raw)
+    letters = [(g, e) for g in generators(n) for e in (-3, -2, -1, 1, 2, 3)]
+    return FreeWord.from_letters(rng.choices(letters, k=rng.randint(0, max_len)))
 
 
 def word_to_text(w: FreeWord) -> str:

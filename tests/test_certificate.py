@@ -256,6 +256,21 @@ def column_replay_cases(draw, params=P235):
     return m, positions, tuple(ops)
 
 
+def reference_replay(ops, matrix, params):
+    """replay the plain way: row dst += (row src) * coeff, a vector at a time."""
+    rows = list(matrix)
+    for op in ops:
+        rows[op.dst] = rows[op.dst] + rows[op.src].act(op.coeff, params)
+    return RingMatrix(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_replay_cases())
+def test_replay_matches_reference(case):
+    m, _, ops = case
+    assert replay(ops, m, P235) == reference_replay(ops, m, P235)
+
+
 @settings(max_examples=100, deadline=None)
 @given(column_replay_cases())
 def test_column_replay_matches_compose(case):

@@ -413,19 +413,28 @@ def test_verify_builds_2n_starred_rows(monkeypatch):
 @pytest.mark.parametrize("command", ["certificate", "complex"])
 def test_built_certificate_fault_exits_1(command, monkeypatch, tmp_path, capsys):
     alpha_coords = certificate._alpha_coords
+    basis_ops = certificate._basis_ops
 
     def corrupt(i, lam, lifted, params):
         alpha = alpha_coords(i, lam, lifted, params)
         return type(alpha)((alpha[0] + one(),) + alpha[1:]) if i == 1 else alpha
 
-    monkeypatch.setattr(certificate, "_alpha_coords", corrupt)
-    path = tmp_path / "out.json"
-    assert main([command, "--r", "2,3,5", "--out", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert "internal verification fault" in captured.err
-    assert "alpha_1 kernel" in captured.err
-    assert captured.out == ""
-    assert not path.exists()
+    def short_trace(lam, params):
+        return basis_ops(lam, params)[:-1]
+
+    for name, fault, item in (
+        ("_alpha_coords", corrupt, "alpha_1 kernel"),
+        ("_basis_ops", short_trace, "basis reduction"),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(certificate, name, fault)
+            path = tmp_path / f"{name}.json"
+            assert main([command, "--r", "2,3,5", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "internal verification fault" in captured.err
+        assert item in captured.err
+        assert captured.out == ""
+        assert not path.exists()
 
 
 def test_builder_crt_fault_reaches_the_checker(monkeypatch, capsys):

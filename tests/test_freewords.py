@@ -124,6 +124,15 @@ def test_group_axioms_random():
         assert FreeWord.from_letters(u) == u
 
 
+def test_random_word_support():
+    rng = random.Random(5)
+    words = [random_word(rng, 3, max_len=6) for _ in range(300)]
+    drawn = {gen for w in words for gen, _ in w}
+    assert drawn == set(generators(3))
+    assert all(gen.index <= 3 for gen in drawn)
+    assert all(len(w) <= 6 for w in words)
+
+
 def test_conjugate_matches_definition():
     rng = random.Random(11)
     for _ in range(100):

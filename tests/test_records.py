@@ -79,7 +79,7 @@ def test_field_names_and_order():
         "params", "crt", "lam", "mu", "alpha", "basis_ops", "version"
     )
     assert CheckItem._fields == ("name", "passed", "detail")
-    assert CheckReport._fields == ("accepted", "items", "basis", "d2")
+    assert CheckReport._fields == ("items", "basis", "d2")
     assert build_chain_export(PARAMS)._fields == ("params", "d1", "d2", "d3", "p", "q")
     assert CheckGroup._fields == ("name", "status", "details")
 
@@ -89,7 +89,8 @@ def test_defaults():
     assert cert.version == CERTIFICATE_VERSION
     assert type(cert)(*cert[:-1]) == cert
     assert CheckItem("t range", True).detail == ""
-    report = CheckReport(True, ())
+    report = CheckReport(())
+    assert report.accepted
     assert report.basis is None and report.d2 is None
     assert report.failures == ()
     assert CheckGroup("g", "pass").details == ()
@@ -168,6 +169,7 @@ def test_properties_and_json_round_trip():
     assert cert.crt == crt_coefficients(PARAMS)
     assert splitting_report(cert).ok
     assert build_chain_export(PARAMS).euler == 0
-    failing = CheckReport(False, (CheckItem("a", True), CheckItem("b", False, "why")))
+    failing = CheckReport((CheckItem("a", True), CheckItem("b", False, "why")))
+    assert not failing.accepted
     assert failing.failures == ("b",)
     assert str(agen(3)) == "a3"
