@@ -20,8 +20,10 @@ relator.  The edge boundary entries are starred the same way (x^-1 - 1),
 so the chain condition holds verbatim.
 
 A starred row comes from one prefix walk over the word (the product rule
-fills all 2n columns at once, see starred_fox_row).  fox_derivative walks
-the word once per generator and is kept as the reference for each column.
+fills all 2n columns at once, see starred_fox_row), each column in
+groupring's grouped form under params' orders, or in cell form when its
+only suffix is the identity, as in d2.  fox_derivative walks the word once
+per generator and is kept as the reference for each column.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .freewords import (
     power_relator,
 )
 from .groupring import (
-    RingElement, free_term, from_terms, group_term, one, ring_mul, ring_sum, torsion_term, zero
+    RingElement, free_term, from_terms, one, ring_mul, ring_sum, torsion_term, zero
 )
 from .normalform import (
     IDENTITY, GroupElement, ginv, gmul, project, torsion_power, free_power
@@ -168,10 +170,11 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
     d(uv)/dx = du/dx + u dv/dx: the letter g^e read after the prefix u adds
     u g^j (exponents j and sign c as in fox_derivative) to column g.  Starred,
     u g^j is g^-j inv with inv = u^-1, so each term is inv with one syllable
-    of g's factor merged in at the left.  fox_derivative is the per-generator
-    reference for these columns."""
-    cols: list[dict[GroupElement, int]] = [{} for _ in range(2 * params.n)]
-    inv: tuple[tuple[int, int, int], ...] = ()
+    of g's factor merged in at the left: a cell of the group keyed by the
+    rest of inv.  fox_derivative is the per-generator reference for these
+    columns."""
+    cols: list[dict[GroupElement, dict[int, int]]] = [{} for _ in range(2 * params.n)]
+    inv = IDENTITY
     for g, e in w:
         i = g.index
         params.check_index(i)
@@ -181,24 +184,35 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
         # syllable at most and a vanishing merge cascades no further.
         if inv and inv[0][0] == i:
             _, k0, m0 = inv[0]
-            rest = inv[1:]
+            rest = GroupElement(inv[1:])
         else:
             k0 = m0 = 0
             rest = inv
         col = cols[2 * i - 2 + (not torsion)]
+        group = col.setdefault(rest, {})
         exponents, c = (range(e), 1) if e > 0 else (range(-1, e - 1, -1), -1)
         for j in exponents:
-            k, m = ((k0 - j) % r, m0) if torsion else (k0, m0 - j)
-            key = GroupElement(((i, k, m),) + rest if k or m else rest)
-            # c has one sign per letter: v is 0 only where key holds -c.
-            v = col.get(key, 0) + c
+            # Cell m * 2r + k holds the term a_i^k b_i^m rest.
+            cell = m0 * 2 * r + (k0 - j) % r if torsion else (m0 - j) * 2 * r + k0
+            # c has one sign per letter: v is 0 only where the cell holds -c.
+            v = group.get(cell, 0) + c
             if v:
-                col[key] = v
+                group[cell] = v
             else:
-                del col[key]
+                del group[cell]
         k, m = ((k0 - e) % r, m0) if torsion else (k0, m0 - e)
-        inv = ((i, k, m),) + rest if k or m else rest
-    return RingVector(RingElement(col) for col in cols)
+        inv = GroupElement(((i, k, m),) + rest) if k or m else rest
+    row = []
+    for index, col in enumerate(cols):
+        f = index // 2 + 1
+        groups = {rest: cells for rest, cells in col.items() if cells}
+        if not groups:
+            row.append(RingElement({}))
+        elif list(groups) == [IDENTITY]:
+            row.append(RingElement(None, (f, params.r[f - 1], groups[IDENTITY])))
+        else:
+            row.append(RingElement(None, None, (f, params.r, groups)))
+    return RingVector(row)
 
 
 def d2_matrix(params: PresentationParams) -> RingMatrix:
@@ -225,9 +239,9 @@ def d1_matrix(params: PresentationParams) -> RingMatrix:
 def fundamental_identity_holds(w: FreeWord, d1: RingMatrix, params: PresentationParams) -> bool:
     """Starred form of the fundamental Fox identity, with d1 = d1_matrix(params):
     sum_x (x^-1 - 1) * star(dw/dx) = star(pi(w)) - 1."""
-    lhs = apply(d1, starred_fox_row(w, params), params)
-    rhs = group_term(ginv(project(w, params), params)) - one()
-    return lhs[0] == rhs
+    lhs = apply(d1, starred_fox_row(w, params), params)[0]
+    g = ginv(project(w, params), params)
+    return lhs.terms == ({g: 1, IDENTITY: -1} if g else {})
 
 
 def c1_labels(n: int) -> list[str]:

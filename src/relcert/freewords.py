@@ -7,6 +7,7 @@ like a_i^r stay O(1) in size and equality is a tuple comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterable
@@ -227,8 +228,12 @@ def verify_free_identities(i: int, params: PresentationParams) -> bool:
 
 def random_word(rng: random.Random, n: int, max_len: int = 20) -> FreeWord:
     """Reduction of a uniformly random raw letter list of length <= max_len."""
-    letters = [(g, e) for g in generators(n) for e in (-3, -2, -1, 1, 2, 3)]
-    return FreeWord.from_letters(rng.choices(letters, k=rng.randint(0, max_len)))
+    return FreeWord.from_letters(rng.choices(_letters(n), k=rng.randint(0, max_len)))
+
+
+@functools.cache  # random_word's letter table, built once per n
+def _letters(n: int) -> tuple[tuple[Generator, int], ...]:
+    return tuple((g, e) for g in generators(n) for e in (-3, -2, -1, 1, 2, 3))
 
 
 def word_to_text(w: FreeWord) -> str:

@@ -11,6 +11,10 @@ of _factor_cells, in place of the dict form `terms`, {GroupElement:
 coefficient}.  The torsion, free, norm and ramp builders and parse_ring
 give cell form; products, sums and equality of operands that read as cells
 of one factor stay on cells, and terms are built from cells when read.
+A starred Fox column may be held grouped instead, `groups` = (f, r,
+{suffix: cells}), as _split_mul groups a right operand; it is used as it
+stands only under the n orders r it was built with, since its suffixes
+hold syllables of other factors, and its terms too are built when read.
 
 Multiplication takes one of two exact paths and both give the same value.
 When the left operand x lies in one factor f's subring, ring_mul splits
@@ -49,29 +53,35 @@ from .normalform import (
 
 
 class RingElement:
-    """A finitely supported integer combination of group elements in dict or
-    cell form (module docstring); __getattr__ fills an unset `terms` slot."""
+    """A finitely supported integer combination of group elements in dict,
+    cell or grouped form (module docstring); __getattr__ fills unset terms."""
 
-    __slots__ = ("terms", "local")
+    __slots__ = ("terms", "local", "groups")
     __hash__ = None
 
-    def __init__(self, terms: dict[GroupElement, int] | None, local=None):
-        # Trusted to contain no zero coefficients, and local to match terms.
+    def __init__(self, terms: dict[GroupElement, int] | None, local=None, groups=None):
+        # Trusted to contain no zero coefficients, local and groups to match
+        # terms, and groups to hold no empty cells and a suffix other than ().
         if terms is not None:
             self.terms = terms
         self.local = local
+        self.groups = groups
 
     def __getattr__(self, name):
         if name != "terms":
             raise AttributeError(name)
-        factor, r, cells = self.local
-        self.terms = terms = _wrap(factor, 2 * r, cells, IDENTITY, {})
+        local = self.local
+        factor, r, groups = (*local[:2], {IDENTITY: local[2]}) if local else self.groups
+        stride = 2 * (r if local else r[factor - 1])
+        self.terms = terms = {}
+        for rest, cells in groups.items():
+            _wrap(factor, stride, cells, rest, terms)
         return terms
 
     @property
     def is_zero(self) -> bool:
         local = self.local
-        return not (local[2] if local else self.terms)
+        return not (local[2] if local else self.groups or self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
@@ -161,8 +171,9 @@ def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> Ring
     """Bilinear extension of the group product: grouped by y's first syllable
     (_split_mul) when x lies in one factor's subring, by the plain
     convolution (_convolve) otherwise.  The result is a fresh element."""
-    xl, yl = x.local, y.local
-    xt, yt = xl[2] if xl else x.terms, yl[2] if yl else y.terms
+    xl, yl, yg = x.local, y.local, y.groups
+    # A grouped y reads as its groups, whose suffixes are never all ().
+    xt, yt = xl[2] if xl else x.terms, yl[2] if yl else yg[2] if yg else y.terms
     if not xt or not yt:
         return RingElement({})
     # A multiple of the identity, key () or cell 0, commutes with everything.
@@ -228,11 +239,14 @@ def _split_mul(local, other: RingElement, params: PresentationParams) -> RingEle
     h' and lies in f's subring, like x.  Since h' does not start in f, each
     product key is h' with at most one syllable of f put in front of it,
     and keys of different groups never meet.  A cell-form `other` of f is
-    the single group h' = () as it stands."""
+    the single group h' = () as it stands, and a grouped `other` of f built
+    under params' orders is its groups as they stand."""
     factor, r, cells = local
-    theirs = other.local
+    theirs, grouped = other.local, other.groups
     if theirs and theirs[0] == factor and theirs[1] == r:
         groups = {IDENTITY: theirs[2]}
+    elif grouped and grouped[0] == factor and grouped[1] == params.r:
+        groups = grouped[2]
     else:
         stride = 2 * r
         groups: dict[GroupElement, dict[int, int]] = {}

@@ -32,6 +32,7 @@ from relcert.foxcomplex import (
     starred_fox_row,
 )
 from relcert.groupring import (
+    RingElement,
     free_term,
     group_term,
     norm_element,
@@ -41,8 +42,9 @@ from relcert.groupring import (
     torsion_term,
     zero,
 )
-from relcert.normalform import project
-from test_groupring import assert_syllable_keys, star
+from relcert.normalform import IDENTITY, GroupElement, project
+from representation import rho_for
+from test_groupring import assert_syllable_keys, reference_mul, star
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
@@ -111,11 +113,114 @@ def fox_words(draw):
 @given(fox_words())
 def test_starred_fox_row_matches_fox_derivative(case):
     params, w = case
-    row = starred_fox_row(w, params)
+    row = assert_grouped_columns(w, params)
     assert len(row) == 2 * params.n
     for col, x in enumerate(generators(params.n)):
         assert row[col] == star(fox_derivative(w, x, params), params)
         assert_syllable_keys(row[col].terms)
+
+
+def plain_starred_row(w, params):
+    """The starred row by the same prefix walk into {GroupElement:
+    coefficient} dicts, one key built per term: the reference the grouped
+    columns of starred_fox_row are held to."""
+    cols = [{} for _ in range(2 * params.n)]
+    inv = ()
+    for g, e in w:
+        i, r, torsion = g.index, params.r[g.index - 1], g.kind == "a"
+        k0, m0, rest = (*inv[0][1:], inv[1:]) if inv and inv[0][0] == i else (0, 0, inv)
+        col = cols[2 * i - 2 + (not torsion)]
+        exponents, c = (range(e), 1) if e > 0 else (range(-1, e - 1, -1), -1)
+        for j in exponents:
+            k, m = ((k0 - j) % r, m0) if torsion else (k0, m0 - j)
+            key = GroupElement(((i, k, m),) + rest if k or m else rest)
+            col[key] = col.get(key, 0) + c
+        k, m = ((k0 - e) % r, m0) if torsion else (k0, m0 - e)
+        inv = ((i, k, m),) + rest if k or m else rest
+    return [{g: v for g, v in col.items() if v} for col in cols]
+
+
+def cancelling_words(params):
+    """Trusted unreduced words whose columns cancel to zero, beside the
+    power relators, whose a-column N_i meets a_i^-1 - 1 in a zero product."""
+    for g in generators(params.n):
+        yield FreeWord(((g, 2), (g, -2)))
+        yield FreeWord(((agen(params.n), 1), (g, 1), (g, -1), (agen(params.n), -1)))
+    for i in range(1, params.n + 1):
+        yield power_relator(i, params)
+
+
+def assert_grouped_columns(w, params):
+    """Each column of w's starred row against the plain row, and each
+    product with its d1 entry against reference_mul and rho."""
+    row = starred_fox_row(w, params)
+    plain = plain_starred_row(w, params)
+    rho = rho_for(params)
+    images = rho.starred_fox_row(w)
+    for col, entry, expected, image in zip(row, d1_matrix(params), plain, images):
+        assert entry[0].local is not None
+        assert col.is_zero == (not expected)
+        assert col.terms == expected
+        assert_syllable_keys(col.terms)
+        assert rho.ring(col) == image
+        product = ring_mul(entry[0], col, params)
+        assert product.terms == reference_mul(entry[0].terms, expected, params)
+        assert_syllable_keys(product.terms)
+        assert rho.ring(product) == rho.mul(rho.ring(entry[0]), image)
+    return row
+
+
+def test_grouped_columns_random_and_cancelling():
+    rng = random.Random(47)
+    forms = set()
+    for params in (P23, P235, PRIMES8, P509):
+        words = [random_word(rng, params.n) for _ in range(60)]
+        for w in [*words, *cancelling_words(params)]:
+            for col in assert_grouped_columns(w, params):
+                forms.add("grouped" if col.groups else "cell" if col.local else "dict")
+                if col.groups:
+                    factor, orders, groups = col.groups
+                    assert orders == params.r and (IDENTITY not in groups or len(groups) > 1)
+                    for rest, cells in groups.items():
+                        assert type(rest) is GroupElement and cells
+                        assert not rest or rest[0][0] != factor
+    assert forms == {"grouped", "cell", "dict"}
+
+
+def test_grouped_column_under_other_orders_is_checked():
+    # Built at r = (5, 7), a1's column of a2^3 a1 has the key a2^4 (the
+    # starred prefix a2^-3): factor 1 keeps its order 5, and a2^4 is out
+    # of range at r = (5, 3).  The grouped column is not taken as it
+    # stands there, so it raises as its dict copy does.
+    built, other = PresentationParams((5, 7)), PresentationParams((5, 3))
+    col = starred_fox_row(FreeWord(((agen(2), 3), (agen(1), 1))), built)[0]
+    assert col.groups is not None and col.groups[1] == built.r
+    left = d1_matrix(other)[0][0]
+    messages = []
+    for y in (col, RingElement(dict(col.terms))):
+        with pytest.raises(ParameterError, match="different parameters") as info:
+            ring_mul(left, y, other)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    # In range at other orders, the grouped column gives the dict path's value.
+    col = starred_fox_row(FreeWord(((bgen(2), 2), (agen(2), 1), (agen(1), -2))), built)[0]
+    assert col.groups is not None
+    assert ring_mul(left, col, PresentationParams((5, 11))).terms == reference_mul(
+        left.terms, col.terms, PresentationParams((5, 11))
+    )
+
+
+def test_d2_entries_born_in_cell_form():
+    for family in ((2, 3), (2, 3, 5), (3, 4, 5), (5, 7, 9, 11, 13)):
+        params = PresentationParams(family)
+        plain = [plain_starred_row(w, params) for w in (
+            *(commutator_relator(i) for i in range(1, params.n + 1)),
+            *(power_relator(i, params) for i in range(1, params.n + 1)),
+        )]
+        for row, expected in zip(d2_matrix(params), plain):
+            for entry, terms in zip(row, expected):
+                assert (entry.local is not None) == bool(terms)
+                assert entry.groups is None and entry.terms == terms
 
 
 @pytest.mark.parametrize("index", [0, 4])

@@ -133,6 +133,21 @@ def test_random_word_support():
     assert all(len(w) <= 6 for w in words)
 
 
+def test_random_word_draws_are_pinned():
+    # verify --seed s samples these words: the letter table built once per
+    # n must give the draws of the list random_word once built per word.
+    for seed in range(3):
+        for n in (2, 5, 8):
+            got, ref = random.Random(seed), random.Random(seed)
+            for max_len in (20, 20, 6, 0, 20):
+                letters = [(g, e) for g in generators(n) for e in (-3, -2, -1, 1, 2, 3)]
+                expected = FreeWord.from_letters(
+                    ref.choices(letters, k=ref.randint(0, max_len))
+                )
+                assert random_word(got, n, max_len) == expected
+            assert got.getstate() == ref.getstate()
+
+
 def test_conjugate_matches_definition():
     rng = random.Random(11)
     for _ in range(100):
