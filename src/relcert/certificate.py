@@ -30,7 +30,6 @@ from .foxcomplex import (
 from .groupring import (
     RingElement, one, parse_ring, ring_mul, ring_to_text, torsion_term
 )
-from .normalform import GroupElement
 from .relmodule import lifted_generator, module_generator, reduction_multiplier
 
 CERTIFICATE_VERSION = 1
@@ -432,26 +431,34 @@ def check_certificate(cert: Certificate) -> CheckReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _matrix_texts(rows) -> list[list[str]]:
+def _renderer():
+    """ring_to_text for one document: once per element object (each must
+    outlive it) and per word (ring_to_text's memo)."""
+    texts, words = {}, {}
+    return lambda x: texts.get(id(x)) or texts.setdefault(id(x), ring_to_text(x, words))
+
+
+def _matrix_texts(rows, render) -> list[list[str]]:
     """The ring text of every entry, row by row."""
-    return [[ring_to_text(e) for e in row] for row in rows]
+    return [[render(e) for e in row] for row in rows]
 
 
 def certificate_to_json(cert: Certificate) -> dict:
+    render = _renderer()
     return {
         "version": cert.version,
         "r": list(cert.params.r),
         "t": list(cert.crt.t),
         "s": [list(row) for row in cert.crt.s],
-        "lambda": _matrix_texts(cert.lam),
-        "mu": _matrix_texts(cert.mu),
-        "alpha": _matrix_texts(cert.alpha),
+        "lambda": _matrix_texts(cert.lam, render),
+        "mu": _matrix_texts(cert.mu, render),
+        "alpha": _matrix_texts(cert.alpha, render),
         "basis_ops": [
             {
                 "op": "add_right_multiple",
                 "src": op.src,
                 "dst": op.dst,
-                "coeff": ring_to_text(op.coeff),
+                "coeff": render(op.coeff),
             }
             for op in cert.basis_ops
         ],
@@ -472,16 +479,6 @@ def _require(condition: bool, message: str):
 def _is_int(value) -> bool:
     """A JSON integer.  JSON true/false load as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_ring_field(
-    text, params: PresentationParams, where: str, words: dict[str, GroupElement]
-) -> RingElement:
-    _require(isinstance(text, str), f"{where}: expected a ring-element string")
-    try:
-        return parse_ring(text, params, words)
-    except ParseError as exc:
-        raise ParseError(f"{where}: {exc.raw_message}", exc.column) from None
 
 
 def _params_from_json(obj) -> PresentationParams:
@@ -506,7 +503,18 @@ def certificate_from_json(obj: dict) -> Certificate:
 def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
     """certificate_from_json for a tree whose 'r' already gave params."""
     n = params.n
-    words: dict[str, GroupElement] = {}  # parse_ring's word memo, for these params
+    words, elements = {}, {}  # parse_ring's word memo; each distinct text's element
+
+    def ring_field(text, where: str) -> RingElement:
+        _require(isinstance(text, str), f"{where}: expected a ring-element string")
+        x = elements.get(text)
+        if x is None:
+            try:
+                x = elements[text] = parse_ring(text, params, words)
+            except ParseError as exc:
+                raise ParseError(f"{where}: {exc.raw_message}", exc.column) from None
+        return x
+
     version = obj.get("version")
     _require(
         _is_int(version) and version == CERTIFICATE_VERSION,
@@ -539,7 +547,7 @@ def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
         )
         return tuple(
             tuple(
-                _parse_ring_field(raw[k][i], params, f"{name}[{k}][{i}]", words)
+                ring_field(raw[k][i], f"{name}[{k}][{i}]")
                 for i in range(ncols)
             )
             for k in range(nrows)
@@ -565,7 +573,7 @@ def _certificate_fields(obj: dict, params: PresentationParams) -> Certificate:
             f"{where}: 'src' and 'dst' must be distinct row indices below {2 * n}",
         )
         ops.append(
-            AddRightMultiple(src, dst, _parse_ring_field(raw.get("coeff"), params, where, words))
+            AddRightMultiple(src, dst, ring_field(raw.get("coeff"), where))
         )
     return Certificate(params, crt, lam, mu, alpha, tuple(ops))
 
@@ -610,6 +618,7 @@ def build_chain_export(params: PresentationParams) -> ChainExport:
 
 def chain_export_to_json(export: ChainExport) -> dict:
     n = export.params.n
+    render = _renderer()
     obj = {
         "version": CERTIFICATE_VERSION,
         "r": list(export.params.r),
@@ -617,10 +626,10 @@ def chain_export_to_json(export: ChainExport) -> dict:
         "c1_labels": c1_labels(n),
         "c2_labels": c2_labels(n),
         "d3_labels": [f"alpha{i}" for i in range(1, n)],
-        "d1": [ring_to_text(row[0]) for row in export.d1],
-        "d2": _matrix_texts(export.d2),
-        "d3": _matrix_texts(export.d3),
-        "P": _matrix_texts(export.p) if export.p is not None else None,
-        "Q": _matrix_texts(export.q) if export.q is not None else None,
+        "d1": [render(row[0]) for row in export.d1],
+        "d2": _matrix_texts(export.d2, render),
+        "d3": _matrix_texts(export.d3, render),
+        "P": _matrix_texts(export.p, render) if export.p is not None else None,
+        "Q": _matrix_texts(export.q, render) if export.q is not None else None,
     }
     return obj

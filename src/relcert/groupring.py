@@ -44,7 +44,6 @@ from .normalform import (
     IDENTITY,
     GroupElement,
     _append_syllable,
-    canonical_key,
     check_reduced,
     element_to_text,
     gmul,
@@ -119,10 +118,6 @@ def zero() -> RingElement:
 
 def one() -> RingElement:
     return RingElement({IDENTITY: 1})
-
-
-def group_term(g: GroupElement) -> RingElement:
-    return RingElement({g: 1})
 
 
 def accumulate(acc: dict[GroupElement, int], pairs) -> dict[GroupElement, int]:
@@ -450,28 +445,33 @@ def check_cyclic_identities(i: int, params: PresentationParams) -> dict[str, boo
     }
 
 
-def ring_to_text(x: RingElement) -> str:
+def ring_to_text(x: RingElement, memo: dict | None = None) -> str:
     """Signed sum of "c*<groupword>" terms in canonical key order;
-    coefficient 1 omitted, identity prints "e", zero prints "0"."""
+    coefficient 1 omitted, identity prints "e", zero prints "0".  `memo`
+    (one dict per document) keeps word texts, cells' under (factor, r)."""
+    memo = {} if memo is None else memo
     local = x.local
-    if local:  # in canonical key order: the identity, then syllables by (k, m)
-        factor, stride = local[0], 2 * local[1]
-        keyed = sorted(((s != 0, s % stride, s // stride), c) for s, c in local[2].items())
-        items = [(((factor, k, m),) if s else (), c) for (s, k, m), c in keyed]
+    if local:
+        factor, r, cells = local
+        stride = 2 * r
+        words = memo.setdefault((factor, r), {0: "e"})
+        # Stable sorts of cells m * 2r + k: by m, by k, identity first.
+        keys = sorted(sorted(sorted(cells), key=stride.__rmod__), key=bool)
     else:
-        items = sorted(x.terms.items(), key=lambda t: canonical_key(t[0]))
-    if not items:
+        words, cells = memo, x.terms
+        keys = sorted(sorted(cells), key=len)  # by syllable count, then as tuples
+    if not keys:
         return "0"
     chunks = []
-    for g, c in items:
-        mag = abs(c)
-        body = element_to_text(g)
-        term = body if mag == 1 else f"{mag}*{body}"
-        if not chunks:
-            chunks.append(term if c > 0 else "-" + term)
-        else:
-            chunks.append((" + " if c > 0 else " - ") + term)
-    return "".join(chunks)
+    for g in keys:
+        c = cells[g]
+        word = words.get(g)
+        if word is None:  # cell g is the syllable a^(g mod 2r) b^(g div 2r)
+            word = words[g] = element_to_text(((factor, g % stride, g // stride),) if local else g)
+        sign = " + " if c > 0 else " - "
+        chunks.append(sign + word if c in (1, -1) else f"{sign}{abs(c)}*{word}")
+    text = "".join(chunks)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def parse_ring(
@@ -481,15 +481,11 @@ def parse_ring(
     way in, so any valid spelling of a term is accepted; a '-' ends a term
     unless it immediately follows '^'.
 
-    Each term is split by one match of _TERM.  A coefficient the pattern
-    does not take (digits with no '*' right after them, digits outside
-    ASCII, a run past int()'s 4300-digit limit) is read by scan_int, which
-    names the fault and its column.  A word is read by _WORD and _LETTER,
-    folding the letters straight into syllable normal form; a word those
-    refuse is read by parse_word and project, which name its fault.
-    `words` maps word text to its element and is filled as words are read;
-    one dict may serve every string read with the same params, and with
-    no others."""
+    One _TERM scan splits the terms.  A word that is two words read before,
+    split at its last space, is their product.  A coefficient _TERM does not
+    take is read by scan_int, a word _read_word refuses by parse_word and
+    project, which name the fault and its column.  `words`, word text to
+    element, may serve every text read with the same params, and no others."""
     s = text
     size = len(s)
     pos = 0
@@ -506,16 +502,14 @@ def parse_ring(
         return RingElement({})
     if words is None:
         words = {}
-    terms: list[tuple[GroupElement, int]] = []
+    acc: dict[GroupElement, int] = {}
+    get = acc.get
     sign = 1
     if s[pos] == "-":
         sign = -1
         pos += 1
-    while True:
-        term = _TERM.match(s, pos)
+    for term in _TERM.finditer(s, pos):
         digits, word, end = term.groups()
-        stop = term.start(3)
-        wstart = term.start(2)
         coeff = 1
         if digits:
             try:
@@ -523,32 +517,42 @@ def parse_ring(
             except ValueError:  # a digit run past int()'s 4300-digit limit
                 scan_int(s, term.start(1))  # raises at its column
         elif word[:1].isdigit():  # no '*' right after the digits, or not ASCII
-            coeff, wstart = scan_int(s, wstart)
+            coeff, wstart = scan_int(s, term.start(2))
             if s[wstart:wstart + 1] != "*":
                 raise ParseError("expected '*' between coefficient and group word", wstart + 1)
-            wstart += 1
-            word = s[wstart:stop]
+            word = s[wstart + 1:term.start(3)]
         elif not (word or end):
-            raise ParseError("expected a term", stop + 1)
+            raise ParseError("expected a term", term.start(3) + 1)
         g = words.get(word)
         if g is None:
-            try:
-                g = _read_word(word, params)
-            except ValueError:  # a digit run past int()'s 4300-digit limit
-                g = None
+            bare = word.rstrip()  # trailing whitespace only separates
+            head, _, last = bare.rpartition(" ")
+            left, right = words.get(head), words.get(last)
+            if left and right:  # two words read before, neither the identity ('e' stands alone)
+                g = gmul(left, right, params)
+            else:
+                try:
+                    g = _read_word(word, params)
+                except ValueError:  # a digit run past int()'s 4300-digit limit
+                    g = None
             if g is None:
                 try:
                     g = project(parse_word(word, params.n), params)
-                except ParseError as exc:
-                    raise ParseError(exc.raw_message, wstart + exc.column) from None
-            words[word] = g
-        terms.append((g, sign * coeff))
+                except ParseError as exc:  # the word ends where group 2 does
+                    column = term.end(2) - len(word) + exc.column
+                    raise ParseError(exc.raw_message, column) from None
+            words[word] = words[bare] = g
+        v = get(g, 0) + sign * coeff
+        if v:
+            acc[g] = v
+        elif g in acc:
+            del acc[g]
         if not end:
-            x = from_terms(terms)
-            x.local = _factor_cells(x, params)
-            return x
+            break
         sign = 1 if end == "+" else -1
-        pos = stop + 1
+    x = RingElement(acc)
+    x.local = _factor_cells(x, params)
+    return x
 
 
 # One term: whitespace, a coefficient of ASCII digits with its '*' right

@@ -112,12 +112,6 @@ def free_power(i: int, m: int, params: PresentationParams) -> GroupElement:
     return GroupElement(((i, 0, m),)) if m else IDENTITY
 
 
-def canonical_key(x: GroupElement):
-    """Sort key for the canonical total order: syllable count first, then
-    lexicographic on (factor, k, m) tuples with integer order on m."""
-    return (len(x), x)
-
-
 def element_to_text(x: GroupElement) -> str:
     """Per syllable "a<i>^k b<i>^m", omitting zero parts and exponent 1;
     the identity prints as "e"."""

@@ -24,7 +24,7 @@ from relcert.foxcomplex import (
     fundamental_identity_holds,
     starred_fox_row,
 )
-from relcert.groupring import check_cyclic_identities, group_term
+from relcert.groupring import check_cyclic_identities
 from relcert.normalform import project
 from relcert.relmodule import check_module_identities, check_reduction, module_generator
 from relcert.certificate import (
@@ -41,6 +41,7 @@ from relcert.certificate import (
 )
 from test_certificate import mutate_one_coefficient
 from test_freewords import conjugate_by
+from test_groupring import group_term
 
 FAMILIES = [(2, 3), (2, 3, 5), (3, 4, 5), (5, 7, 9, 11, 13)]
 RUNTIME_BUDGET_SECONDS = 10.0

@@ -31,6 +31,7 @@ from relcert.certificate import (
     replay,
     splitting_report,
 )
+from test_cell_form import entry_state
 from test_groupring import random_ring, syllable_elements
 
 P23 = PresentationParams((2, 3))
@@ -370,6 +371,59 @@ def test_serialization_round_trip():
         assert check_certificate_json(obj).accepted
 
 
+def site_texts(obj, cert):
+    """(text, element) for every ring-text site of a tree and of the
+    certificate read from it."""
+    for name, rows in (("lambda", cert.lam), ("mu", cert.mu), ("alpha", cert.alpha)):
+        for texts, row in zip(obj[name], rows):
+            yield from zip(texts, row)
+    for op, parsed in zip(obj["basis_ops"], cert.basis_ops):
+        yield op["coeff"], parsed.coeff
+
+
+def test_repeated_texts_share_one_element():
+    # Stage (a) of the trace uses the lambda entries as its coefficients, so
+    # those op texts repeat lambda texts; each text is read into one element.
+    for p in FAMILIES:
+        obj = json.loads(certificate_bytes(build_certificate(p)))
+        by_text = {}
+        for text, x in site_texts(obj, certificate_from_json(obj)):
+            assert by_text.setdefault(text, x) is x
+        lam_texts = {t for row in obj["lambda"] for t in row}
+        assert sum(op["coeff"] in lam_texts for op in obj["basis_ops"]) >= p.n - 1
+    # A re-spelled text is a text of its own, read into an equal element.
+    assert obj["basis_ops"][0]["coeff"] in lam_texts
+    obj["basis_ops"][0]["coeff"] = " " + obj["basis_ops"][0]["coeff"]
+    cert = certificate_from_json(obj)
+    assert all(cert.basis_ops[0].coeff is not x for row in cert.lam for x in row)
+    assert check_certificate(cert).accepted
+
+
+def parsed_elements(cert):
+    """Every element a parsed certificate holds, each object once."""
+    found = [*(x for rows in (cert.lam, cert.mu, cert.alpha) for row in rows for x in row),
+             *(op.coeff for op in cert.basis_ops)]
+    return list({id(x): x for x in found}.values())
+
+
+@pytest.mark.parametrize("mutant", [None, "drop-last-op", "swap-lambda-columns", "bump-cofactor"])
+def test_check_leaves_parsed_elements_unchanged(mutant):
+    # One element serves every site that holds its text, so the checker
+    # must change none: each keeps its cells and terms, and equals the
+    # element read afresh from the same tree.
+    for p in (P235, PresentationParams((3, 4, 5))):
+        obj = json.loads(certificate_bytes(build_certificate(p)))
+        if mutant:
+            STRUCTURAL_MUTANTS[mutant][0](obj)
+        cert = certificate_from_json(obj)
+        elements = parsed_elements(cert)
+        before = entry_state(elements)
+        assert check_certificate(cert).accepted == (mutant is None)
+        assert entry_state(elements) == before
+        fresh = parsed_elements(certificate_from_json(obj))
+        assert [x.terms for x in elements] == [x.terms for x in fresh]
+
+
 def test_serialization_deterministic():
     for p in FAMILIES + [PresentationParams((3, 4, 5, 7, 11))]:
         assert certificate_bytes(build_certificate(p)) == certificate_bytes(
@@ -573,7 +627,7 @@ def _bump_ring_text(text, rng, params):
     if elem.is_zero:
         return ring_to_text(one())
     target = rng.choice(sorted(elem.terms, key=lambda g: str(g)))
-    from relcert.groupring import group_term
+    from test_groupring import group_term
 
     return ring_to_text(elem + group_term(target))
 

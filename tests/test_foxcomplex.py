@@ -34,7 +34,6 @@ from relcert.foxcomplex import (
 from relcert.groupring import (
     RingElement,
     free_term,
-    group_term,
     norm_element,
     one,
     ring_mul,
@@ -44,7 +43,7 @@ from relcert.groupring import (
 )
 from relcert.normalform import IDENTITY, GroupElement, project
 from representation import rho_for
-from test_groupring import assert_syllable_keys, reference_mul, star
+from test_groupring import assert_syllable_keys, group_term, reference_mul, star
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))

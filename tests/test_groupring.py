@@ -19,7 +19,6 @@ from relcert.groupring import (
     check_cyclic_identities,
     free_term,
     from_terms,
-    group_term,
     norm_element,
     one,
     parse_ring,
@@ -29,11 +28,12 @@ from relcert.groupring import (
     torsion_term,
     zero,
 )
+from relcert.foxcomplex import starred_fox_row
 from relcert.normalform import (
     IDENTITY,
     GroupElement,
-    canonical_key,
     check_reduced,
+    element_to_text,
     free_power,
     ginv,
     gmul,
@@ -41,10 +41,16 @@ from relcert.normalform import (
     torsion_power,
 )
 from representation import rho_for
+from test_normalform import canonical_key
 from test_parse_fuzz import GENUINE, PARAMS, grammar_text
 
 P3 = PresentationParams((3, 5))
 P235 = PresentationParams((2, 3, 5))
+
+
+def group_term(g):
+    """The ring element g with coefficient 1."""
+    return RingElement({g: 1})
 
 
 def augmentation(x):
@@ -361,6 +367,43 @@ def test_parse_ring_quirks(text, outcome):
     expected = outcome if isinstance(outcome, RingElement) else (ParseError, outcome)
     assert parse_outcome(reference_parse_ring, text, P3) == expected
     assert parse_outcome(parse_ring, text, P3) == expected
+
+
+# Faults past the first term, after runs of spaces and tabs: each message
+# and column as the reference gives it.
+LATER_TERM_FAULTS = [
+    ("a1 +  \t a9", "generator index 9 exceeds n=2 (column 10)"),
+    ("e + a1 +\t\ta9", "generator index 9 exceeds n=2 (column 12)"),
+    ("e - 2*b1 + \t  3*a2 +  c1", "expected generator 'a' or 'b', found 'c' (column 23)"),
+    ("a1 +\t\t2 b1", "expected '*' between coefficient and group word (column 8)"),
+    ("a1 - b1 + \t 12a2", "expected '*' between coefficient and group word (column 15)"),
+    ("e + a1 - \t\t", "expected a term (column 12)"),
+    ("e + a1 +  \t + a2", "empty word text; write 'e' for the identity (column 13)"),
+    ("a1 + b1^ \t + e", "expected exponent digits after '^' (column 9)"),
+    ("e + a1 + 4*\t", "empty word text; write 'e' for the identity (column 13)"),
+    ("a9 + a9", "generator index 9 exceeds n=2 (column 2)"),  # the first of two
+    # Words read before compose, but an 'e' stands alone.
+    ("e + a1 + e a1", "'e' denotes the identity and must stand alone (column 12)"),
+    ("a1 + e + a1 e", "expected generator 'a' or 'b', found 'e' (column 13)"),
+    (
+        "a1 +\tb1^-1 + 2*a1 b1^-1 - a1^-1 + a1 a1^-1",
+        torsion_term(1, 1, P3) + free_term(1, -1, P3) - torsion_term(1, 2, P3) + one()
+        + 2 * ring_mul(torsion_term(1, 1, P3), free_term(1, -1, P3), P3),
+    ),
+    ("e +\t\t٣*a9 + e", "generator index 9 exceeds n=2 (column 9)"),  # scan_int's coefficient
+    ("a1 + 0*a1\t+\t0", "expected '*' between coefficient and group word (column 14)"),
+    (" \t0*a1", "unexpected text after '0' (column 4)"),  # a leading 0 stands alone
+    ("\t 0 \t+ a1", "unexpected text after '0' (column 6)"),
+    ("a2 +\t0*a1 - \t0*b2", torsion_term(2, 1, P3)),  # only the leading one
+]
+
+
+@pytest.mark.parametrize("text, outcome", LATER_TERM_FAULTS)
+def test_parse_ring_later_term_faults(text, outcome):
+    expected = outcome if isinstance(outcome, RingElement) else (ParseError, outcome)
+    assert parse_outcome(reference_parse_ring, text, P3) == expected
+    assert parse_outcome(parse_ring, text, P3) == expected
+    assert parse_outcome(parse_ring, text, P3, {"a1": torsion_power(1, 1, P3)}) == expected
 
 
 @settings(max_examples=400, deadline=1000)
@@ -863,3 +906,71 @@ def test_star_anti_automorphism_property(xyz):
     x, y, _ = xyz
     p = P357
     assert star(ring_mul(x, y, p), p) == ring_mul(star(y, p), star(x, p), p)
+
+
+# ---------------------------------------------------------------------------
+# ring_to_text's per-document memo against the plain rendering.
+
+
+def reference_ring_to_text(x):
+    """The terms of x in canonical_key order, each word through
+    element_to_text: the rendering ring_to_text is held to."""
+    chunks = []
+    for g, c in sorted(x.terms.items(), key=lambda t: canonical_key(t[0])):
+        body = element_to_text(g)
+        term = body if abs(c) == 1 else f"{abs(c)}*{body}"
+        if not chunks:
+            chunks.append(term if c > 0 else "-" + term)
+        else:
+            chunks.append((" + " if c > 0 else " - ") + term)
+    return "".join(chunks) or "0"
+
+
+# Factor indices 1 and 2 at several orders: one cell, such as 12, spells
+# b1^2 at r_1 = 3 and a1^2 b1 at r_1 = 5.
+MEMO_PARAMS = [
+    PresentationParams((3, 5)),
+    PresentationParams((5, 3)),
+    PresentationParams((5,)),
+    PresentationParams((3, 4, 7)),
+]
+
+
+@st.composite
+def memo_elements(draw):
+    """An element in dict, cell or grouped form, or zero in dict or cell
+    form, with negative and multi-digit coefficients where it has any."""
+    params = draw(st.sampled_from(MEMO_PARAMS))
+    factor = draw(st.integers(1, params.n))
+    form = draw(st.sampled_from(["dict", "cell", "grouped", "zero"]))
+    if form == "zero":
+        return draw(st.sampled_from([zero(), 0 * torsion_term(factor, 1, params)]))
+    if form == "grouped":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        row = starred_fox_row(random_word(rng, params.n, max_len=8), params)
+        grouped = [col for col in row if col.groups]
+        return draw(st.sampled_from(grouped)) if grouped else row[0]
+    if form == "dict":
+        return draw(syllable_elements(params, max_terms=8))
+    x = draw(factor_elements(params, factor, params.order(factor), max_terms=12))
+    x = 0 * torsion_term(factor, 0, params) + x
+    assert x.local is not None
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(memo_elements(), min_size=1, max_size=10))
+def test_ring_to_text_memo_matches_plain(elements):
+    memo = {}
+    for _ in range(2):  # the second round reads every word from the memo
+        for x in elements:
+            text = ring_to_text(x, memo)
+            assert text == ring_to_text(x) == reference_ring_to_text(x)
+
+
+def test_ring_to_text_memo_keeps_orders_apart():
+    memo = {}
+    for r, spelled in ((3, "-7*b1^2"), (5, "-7*a1^2 b1"), (3, "-7*b1^2")):
+        x = RingElement(None, (1, r, {12: -7}))
+        assert ring_to_text(x, memo) == spelled == reference_ring_to_text(x)
+    assert ring_to_text(RingElement(None, (1, 5, {0: 10, -10: -1})), memo) == "10*e - b1^-1"

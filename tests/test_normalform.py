@@ -16,7 +16,6 @@ from relcert.freewords import (
 from relcert.normalform import (
     IDENTITY,
     GroupElement,
-    canonical_key,
     element_to_text,
     free_power,
     ginv,
@@ -29,6 +28,13 @@ from test_freewords import conjugate_by
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
 P3 = PresentationParams((3, 5))
+
+
+def canonical_key(x):
+    """Sort key for the canonical total order of ring text: syllable count
+    first, then lexicographic on (factor, k, m) tuples with integer order
+    on m."""
+    return (len(x), x)
 
 
 def test_project_kills_relators():

@@ -12,7 +12,6 @@ from relcert.freewords import (
 from relcert.foxcomplex import d2_matrix, starred_fox_row
 from relcert.groupring import (
     free_term,
-    group_term,
     norm_element,
     one,
     ring_mul,
@@ -27,7 +26,7 @@ from relcert.relmodule import (
     module_generator,
     reduction_multiplier,
 )
-from test_groupring import star
+from test_groupring import group_term, star
 from test_freewords import conjugate_by
 
 P23 = PresentationParams((2, 3))
