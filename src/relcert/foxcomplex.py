@@ -17,7 +17,8 @@ because d(g^-1)/dx + g^-1 w dg/dx collapses to zero once w maps to the
 identity, and star moves the left factor g^-1 to a right factor g.  Right
 multiplying a starred row therefore realizes conjugation of the underlying
 relator.  The edge boundary entries are starred the same way (x^-1 - 1),
-so the chain condition holds verbatim.
+so the chain condition holds verbatim.  d1_image applies them on cells,
+and d1_matrix holds them for export.
 
 A starred row comes from one prefix walk over the word (the product rule
 fills all 2n columns at once, see starred_fox_row), each column in
@@ -39,7 +40,8 @@ from .freewords import (
     power_relator,
 )
 from .groupring import (
-    RingElement, free_term, from_terms, one, ring_mul, ring_sum, torsion_term, zero
+    RingElement, accumulate, free_term, from_groups, from_terms, groups_at, one, ring_mul,
+    ring_sum, torsion_term, zero,
 )
 from .normalform import (
     IDENTITY, GroupElement, ginv, gmul, project, torsion_power, free_power
@@ -200,19 +202,11 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
                 group[cell] = v
             else:
                 del group[cell]
+        if not group:
+            del col[rest]
         k, m = ((k0 - e) % r, m0) if torsion else (k0, m0 - e)
         inv = GroupElement(((i, k, m),) + rest) if k or m else rest
-    row = []
-    for index, col in enumerate(cols):
-        f = index // 2 + 1
-        groups = {rest: cells for rest, cells in col.items() if cells}
-        if not groups:
-            row.append(RingElement({}))
-        elif list(groups) == [IDENTITY]:
-            row.append(RingElement(None, (f, params.r[f - 1], groups[IDENTITY])))
-        else:
-            row.append(RingElement(None, None, (f, params.r, groups)))
-    return RingVector(row)
+    return RingVector(from_groups(k // 2 + 1, params.r, col) for k, col in enumerate(cols))
 
 
 def d2_matrix(params: PresentationParams) -> RingMatrix:
@@ -236,10 +230,49 @@ def d1_matrix(params: PresentationParams) -> RingMatrix:
     )
 
 
-def fundamental_identity_holds(w: FreeWord, d1: RingMatrix, params: PresentationParams) -> bool:
-    """Starred form of the fundamental Fox identity, with d1 = d1_matrix(params):
-    sum_x (x^-1 - 1) * star(dw/dx) = star(pi(w)) - 1."""
-    lhs = apply(d1, starred_fox_row(w, params), params)[0]
+def d1_image(row: RingVector, params: PresentationParams) -> RingElement:
+    """sum_x (x^-1 - 1) * row_x, which is apply(d1_matrix(params), row, params)[0].
+
+    A column of x read by groups_at at x's factor f is taken on its cells:
+    a_f^-1 moves cell s to s - 1, or to s - 1 + r where s mod 2r = 0, and
+    b_f^-1 to s - 2r.  Both columns of f, images less cells, are summed
+    suffix by suffix, and only surviving cells become keys.  Any other
+    column is multiplied by its d1 entry."""
+    r = params.r
+    if len(row) != 2 * len(r):
+        raise ParameterError(f"coefficient vector width {len(row)} != row count {2 * len(r)}")
+    out: dict[GroupElement, int] = {}
+    for f in range(1, len(r) + 1):
+        stride = 2 * r[f - 1]
+        image: dict[GroupElement, dict[int, int]] = {}  # rest -> cells
+        for free, col in enumerate(row[2 * f - 2:2 * f]):
+            groups = groups_at(col, f, r)
+            if groups is None:
+                entry = (free_term if free else torsion_term)(f, -1, params) - one()
+                accumulate(out, ring_mul(entry, col, params).terms.items())
+                continue
+            shift, wrap = (stride, 0) if free else (1, r[f - 1])
+            for rest, cells in groups.items():
+                acc = image.setdefault(rest, {})
+                get = acc.get
+                for s, c in cells.items():
+                    t = s - shift if s % stride else s - shift + wrap
+                    acc[t] = get(t, 0) + c
+                    acc[s] = get(s, 0) - c
+        # Each surviving cell s is the term a_f^(s mod 2r) b_f^(s div 2r) rest.
+        accumulate(out, (
+            (GroupElement(((f, s % stride, s // stride),) + rest) if s else rest, c)
+            for rest, acc in image.items() for s, c in acc.items() if c
+        ))
+    return RingElement(out)
+
+
+def fundamental_identity_holds(w: FreeWord, params: PresentationParams) -> bool:
+    """Starred form of the fundamental Fox identity:
+    sum_x (x^-1 - 1) * star(dw/dx) = star(pi(w)) - 1.  The right side comes
+    from project and ginv, not from the end of starred_fox_row's prefix walk
+    (the same element): the target stays independent of the walk it checks."""
+    lhs = d1_image(starred_fox_row(w, params), params)
     g = ginv(project(w, params), params)
     return lhs.terms == ({g: 1, IDENTITY: -1} if g else {})
 

@@ -60,12 +60,10 @@ class PresentationParams(namedtuple("PresentationParams", "r")):
         for i, ri in enumerate(r):
             if not isinstance(ri, int) or ri < 2:
                 raise ParameterError(f"r[{i}]={_brief(ri)} must be an integer >= 2")
-        for i in range(len(r)):
-            for j in range(i + 1, len(r)):
-                if math.gcd(r[i], r[j]) != 1:
-                    raise ParameterError(
-                        f"r[{i}]={_brief(r[i])} and r[{j}]={_brief(r[j])} not coprime"
-                    )
+        i = _first_shared(r)
+        if i is not None:  # an earlier partner of r[i] would be a smaller such i
+            j = next(j for j in range(i + 1, len(r)) if math.gcd(r[i], r[j]) != 1)
+            raise ParameterError(f"r[{i}]={_brief(r[i])} and r[{j}]={_brief(r[j])} not coprime")
         return super().__new__(cls, r)
 
     @classmethod
@@ -85,6 +83,25 @@ class PresentationParams(namedtuple("PresentationParams", "r")):
     def check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ParameterError(f"factor index {i} out of range 1..{self.n}")
+
+
+def _first_shared(r: tuple[int, ...]) -> int | None:
+    """The least i with gcd(r_i, prod_{j != i} r_j) > 1, or None.  Two
+    orders share a factor only if, in a product tree over r, the sibling
+    products below their lowest common node do.  Then, with P = prod r_j,
+    P mod r_i^2 = r_i (prod_{j != i} r_j mod r_i), and a remainder tree
+    takes P mod r_i^2 down the product tree, mod each node squared."""
+    tree = [list(r)]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        tree.append([math.prod(level[k:k + 2]) for k in range(0, len(level), 2)])
+    if all(math.gcd(*level[k:k + 2]) == 1 for level in tree for k in range(0, len(level) - 1, 2)):
+        return None
+    rems = tree.pop()
+    while tree:
+        level = tree.pop()
+        rems = [rems[k // 2] % (node * node) for k, node in enumerate(level)]
+    return next((i for i, ri in enumerate(r) if math.gcd(ri, rems[i] // ri) != 1), None)
 
 
 def _brief(value) -> str:

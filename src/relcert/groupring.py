@@ -9,12 +9,13 @@ An element of one factor f's commutative subring Z[C_r x Z] =
 Z[a, b^-1, b]/(a^r - 1) may be held in cell form, `local` = (f, r_f, cells)
 of _factor_cells, in place of the dict form `terms`, {GroupElement:
 coefficient}.  The torsion, free, norm and ramp builders and parse_ring
-give cell form; products, sums and equality of operands that read as cells
-of one factor stay on cells, and terms are built from cells when read.
-A starred Fox column may be held grouped instead, `groups` = (f, r,
-{suffix: cells}), as _split_mul groups a right operand; it is used as it
-stands only under the n orders r it was built with, since its suffixes
-hold syllables of other factors, and its terms too are built when read.
+give cell form alone; products, sums and equality of operands that read
+as cells of one factor stay on cells.  Starred Fox columns and the
+products of _split_mul are grouped, `groups` = (f, r, {suffix: cells}), a
+suffix other than () among them; one is used as it stands only under the
+n orders r it was built with, since its suffixes hold syllables of other
+factors.  Sums and equality of a grouped operand with one that groups_at
+reads at its factor and orders stay on groups.  Terms are built when read.
 
 Multiplication takes one of two exact paths and both give the same value.
 When the left operand x lies in one factor f's subring, ring_mul splits
@@ -73,8 +74,13 @@ class RingElement:
         factor, r, groups = (*local[:2], {IDENTITY: local[2]}) if local else self.groups
         stride = 2 * (r if local else r[factor - 1])
         self.terms = terms = {}
-        for rest, cells in groups.items():
-            _wrap(factor, stride, cells, rest, terms)
+        for rest, cells in groups.items():  # cell s: a^(s mod 2r) b^(s div 2r) put before rest
+            for cell, c in cells.items():
+                if cell:
+                    m, k = divmod(cell, stride)
+                    terms[GroupElement(((factor, k, m),) + rest)] = c
+                else:
+                    terms[rest] = c
         return terms
 
     @property
@@ -85,6 +91,9 @@ class RingElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return False
+        pair = (self.groups or other.groups) and _group_pair(self, other)
+        if pair:  # both canonical, so their groups are equal as they stand
+            return pair[2] == pair[3]
         if self.local or other.local:  # on cells, where both read as cells
             return ring_sum(self, other, -1).is_zero
         return self.terms == other.terms
@@ -135,9 +144,53 @@ def from_terms(pairs) -> RingElement:
     return RingElement(accumulate({}, pairs))
 
 
+def from_groups(factor: int, orders: tuple[int, ...], groups: dict) -> RingElement:
+    """sum_s (groups[s], nonempty cells of factor) s in canonical form: cell
+    form when () is the only suffix, grouped under orders when there are
+    others, and the dict zero when there are none."""
+    if len(groups) == 1 and IDENTITY in groups:
+        return RingElement(None, (factor, orders[factor - 1], groups[IDENTITY]))
+    return RingElement(None, None, (factor, orders, groups)) if groups else RingElement({})
+
+
+def groups_at(x: RingElement, factor: int, orders: tuple[int, ...]):
+    """x's groups {suffix: cells}: as they stand when x is grouped at factor
+    under orders, its cells as the suffix () alone when x is in cell form of
+    factor at orders[factor - 1], {} for the dict zero; None otherwise."""
+    grouped, local = x.groups, x.local
+    if grouped:
+        return grouped[2] if grouped[0] == factor and grouped[1] == orders else None
+    if local:
+        if local[0] != factor or local[1] != orders[factor - 1]:
+            return None
+        return {IDENTITY: local[2]} if local[2] else {}
+    return None if x.terms else {}
+
+
+def _group_pair(x: RingElement, y: RingElement):
+    """(f, orders, x's groups, y's groups) for x or y grouped at factor f
+    under orders, when groups_at reads both there; None otherwise."""
+    factor, orders, _ = x.groups or y.groups
+    xs, ys = groups_at(x, factor, orders), groups_at(y, factor, orders)
+    return None if xs is None or ys is None else (factor, orders, xs, ys)
+
+
 def ring_sum(x: RingElement, y: RingElement, sign: int = 1, in_place: bool = False) -> RingElement:
-    """x + sign * y (sign 1 or -1), on cells when x or y is in cell form and
-    the other reads as cells of its factor and order; in_place spends x."""
+    """x + sign * y (sign 1 or -1): suffix by suffix when _group_pair reads
+    both as groups, on cells when x or y is in cell form and the other reads
+    as cells of its factor and order, on terms otherwise.  in_place spends
+    x; otherwise the result may share x's cells, never y's."""
+    pair = (x.groups or y.groups) and _group_pair(x, y)
+    if pair:
+        factor, orders, out, theirs = pair
+        out = out if in_place else dict(out)
+        for rest, cells in theirs.items():
+            mine = out.pop(rest, {})
+            items = cells.items() if sign > 0 else ((s, -c) for s, c in cells.items())
+            mine = accumulate(mine if in_place else dict(mine), items)
+            if mine:
+                out[rest] = mine
+        return from_groups(factor, orders, out)
     local = x.local or y.local
     yd = None
     if local:
@@ -233,16 +286,12 @@ def _split_mul(local, other: RingElement, params: PresentationParams) -> RingEle
     over h' of (x v_h') h', where v_h' sums c_h s_h over the keys with rest
     h' and lies in f's subring, like x.  Since h' does not start in f, each
     product key is h' with at most one syllable of f put in front of it,
-    and keys of different groups never meet.  A cell-form `other` of f is
-    the single group h' = () as it stands, and a grouped `other` of f built
-    under params' orders is its groups as they stand."""
+    and keys of different groups never meet.  Groups that groups_at reads
+    off `other` under params' orders are taken as they stand, and the
+    product keeps its groups (from_groups): no key is built until read."""
     factor, r, cells = local
-    theirs, grouped = other.local, other.groups
-    if theirs and theirs[0] == factor and theirs[1] == r:
-        groups = {IDENTITY: theirs[2]}
-    elif grouped and grouped[0] == factor and grouped[1] == params.r:
-        groups = grouped[2]
-    else:
+    groups = groups_at(other, factor, params.r)
+    if groups is None:
         stride = 2 * r
         groups: dict[GroupElement, dict[int, int]] = {}
         for h, c in other.terms.items():
@@ -259,25 +308,13 @@ def _split_mul(local, other: RingElement, params: PresentationParams) -> RingEle
                 groups[rest if rest is h else GroupElement(rest)] = {cell: c}
             else:
                 group[cell] = c
-    out: dict[GroupElement, int] = {}
+    out = {}
     for rest, group in groups.items():
         # x v_rest, folded by a^r = 1, with no zero cells.
         prod = (_kronecker_mul if _packs(cells, group, r) else _cell_mul)(cells, group, r)
-        if not rest and len(groups) == 1:
-            return RingElement(None, (factor, r, prod))
-        _wrap(factor, 2 * r, prod, rest, out)
-    return RingElement(out)
-
-
-def _wrap(factor: int, stride: int, cells, rest: GroupElement, out: dict):
-    """out with each cell's term added: its syllable put in front of rest."""
-    for cell, c in cells.items():
-        if cell:
-            m, k = divmod(cell, stride)
-            out[GroupElement(((factor, k, m),) + rest)] = c
-        else:
-            out[rest] = c
-    return out
+        if prod:
+            out[rest] = prod
+    return from_groups(factor, params.r, out)
 
 
 def _cell_mul(xc, yc, r: int) -> dict[int, int]:
@@ -551,8 +588,8 @@ def parse_ring(
             break
         sign = 1 if end == "+" else -1
     x = RingElement(acc)
-    x.local = _factor_cells(x, params)
-    return x
+    local = _factor_cells(x, params)
+    return x if local is None else RingElement(None, local)
 
 
 # One term: whitespace, a coefficient of ASCII digits with its '*' right

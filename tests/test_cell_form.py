@@ -18,6 +18,7 @@ from relcert.groupring import (
     from_terms,
     norm_element,
     one,
+    parse_ring,
     ramp_element,
     ring_mul,
     ring_to_text,
@@ -34,6 +35,7 @@ from test_groupring import (
     factor_params,
     random_ring,
     reference_mul,
+    reference_parse_ring,
 )
 
 P235 = PresentationParams((2, 3, 5))
@@ -104,6 +106,29 @@ def test_cell_form_matches_dict_form(data, r, second):
     assert rho.ring(got["scaling"]) == tuple(k * v % rho.p for v in rx)
 
 
+def test_parse_ring_reads_one_factor_text_into_cells_alone():
+    # A one-factor text is held in cell form with no terms until they are
+    # read; they then hold the value the reference reader gives.  A text
+    # with a key of two factors, or the identity alone, stays in dict form.
+    params = PresentationParams((7, 5))
+    for text, factor in (
+        ("a1^3 b1^-2 - 4*e + 2*b1^7", 1),
+        ("5*a2 - a2^4 b2 + 3*b2^-1 a2^2", 2),
+        ("  a1 + a1^6 - b1^-1", 1),
+        ("a1^7 b1", 1),
+    ):
+        x = parse_ring(text, params)
+        assert x.local is not None and x.local[:2] == (factor, params.r[factor - 1])
+        assert x.groups is None and built_terms(x) is None
+        text_before = ring_to_text(x)  # read off the cells
+        expected = reference_parse_ring(text, params).terms
+        assert x.terms == expected and built_terms(x) == expected
+        assert text_before == ring_to_text(RingElement(dict(expected)))
+    for text in ("a1 b2 + e", "3*e", "a1 - a1"):
+        x = parse_ring(text, params)
+        assert x.local is None and built_terms(x) == reference_parse_ring(text, params).terms
+
+
 def test_builders_give_cell_form():
     params = PresentationParams((7, 5))
     for x in (
@@ -147,8 +172,16 @@ def built_terms(e):
 
 
 def entry_state(elements):
-    """Copies of each element's cells and, where built, its terms."""
-    return [(dict(e.local[2]) if e.local else None, built_terms(e)) for e in elements]
+    """Copies of each element's cells, its groups' cells and, where built,
+    its terms."""
+    return [
+        (
+            dict(e.local[2]) if e.local else None,
+            {rest: dict(cells) for rest, cells in e.groups[2].items()} if e.groups else None,
+            built_terms(e),
+        )
+        for e in elements
+    ]
 
 
 def test_apply_leaves_its_operands_unchanged(monkeypatch):
@@ -211,8 +244,8 @@ def test_apply_leaves_its_operands_unchanged(monkeypatch):
             # apply may build terms (a cell-form row entry times a mixed
             # coefficient); it changes no cells and no terms already built.
             after = entry_state(operands + list(v))
-            for (cells, terms), (cells_after, terms_after) in zip(before, after):
-                assert cells_after == cells
+            for (cells, groups, terms), (cells_after, groups_after, terms_after) in zip(before, after):
+                assert cells_after == cells and groups_after == groups
                 assert terms is None or terms_after == terms
             assert [e.terms for e in result] == columns(matrix, v)
 

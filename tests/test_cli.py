@@ -378,7 +378,7 @@ def test_commands_make_no_plain_convolution(monkeypatch, tmp_path, capsys):
     assert calls == []
 
 
-def test_verify_builds_d1_once(monkeypatch):
+def test_verify_builds_no_d1_and_complex_builds_one(monkeypatch, tmp_path, capsys):
     calls = []
     d1_matrix = foxcomplex.d1_matrix
 
@@ -386,10 +386,13 @@ def test_verify_builds_d1_once(monkeypatch):
         calls.append(1)
         return d1_matrix(*args)
 
-    # cli binds the name on import; a foxcomplex caller would look it up there.
-    monkeypatch.setattr(cli, "d1_matrix", counting, raising=False)
-    monkeypatch.setattr(foxcomplex, "d1_matrix", counting)
+    # A module that imported the name binds it; a foxcomplex caller looks it up there.
+    for module in (cli, certificate, foxcomplex):
+        monkeypatch.setattr(module, "d1_matrix", counting, raising=False)
     assert all(g.status == "pass" for g in run_verification(PresentationParams((2, 3, 5))))
+    assert calls == []
+    assert main(["complex", "--r", "2,3,5", "--out", str(tmp_path / "complex.json")]) == 0
+    capsys.readouterr()
     assert len(calls) == 1
 
 

@@ -25,6 +25,7 @@ from relcert.foxcomplex import (
     c1_labels,
     c2_labels,
     compose,
+    d1_image,
     d1_matrix,
     d2_matrix,
     fox_derivative,
@@ -43,7 +44,8 @@ from relcert.groupring import (
 )
 from relcert.normalform import IDENTITY, GroupElement, project
 from representation import rho_for
-from test_groupring import assert_syllable_keys, group_term, reference_mul, star
+from test_groupring import assert_syllable_keys, group_term, random_ring, reference_mul, star
+from test_grouped_form import assert_canonical
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
@@ -163,6 +165,7 @@ def assert_grouped_columns(w, params):
         assert_syllable_keys(col.terms)
         assert rho.ring(col) == image
         product = ring_mul(entry[0], col, params)
+        assert_canonical(product, params)
         assert product.terms == reference_mul(entry[0].terms, expected, params)
         assert_syllable_keys(product.terms)
         assert rho.ring(product) == rho.mul(rho.ring(entry[0]), image)
@@ -222,16 +225,91 @@ def test_d2_entries_born_in_cell_form():
                 assert entry.groups is None and entry.terms == terms
 
 
+def assert_d1_image(row, params):
+    """d1_image(row) against the matrix product apply(d1_matrix, row), the
+    reference it is held to, and the identity sum_x (x^-1 - 1) row_x under rho."""
+    got = d1_image(row, params)
+    expected = apply(d1_matrix(params), row, params)[0]
+    assert got.terms == expected.terms and got == expected
+    assert_syllable_keys(got.terms)
+    rho = rho_for(params)
+    image = rho.zero
+    for g, col in zip(generators(params.n), row):
+        entry = rho.add(rho.letter(g.kind, g.index, -1), tuple(-v % rho.p for v in rho.identity))
+        image = rho.add(image, rho.mul(entry, rho.ring(col)))
+    assert rho.ring(got) == image
+    return got
+
+
+def test_d1_image_matches_apply():
+    rng = random.Random(53)
+    for params in (P23, P235, PRIMES8, P509):
+        n = params.n
+        rows = [starred_fox_row(random_word(rng, n), params) for _ in range(40)]
+        rows += [starred_fox_row(w, params) for w in cancelling_words(params)]
+        rows += d2_matrix(params)
+        rows.append(RingVector((zero(),) * (2 * n)))
+        # Dict copies of Fox rows, rows of dict-form elements with keys of
+        # several factors, and columns in cell form of another factor.
+        rows += [RingVector(RingElement(dict(e.terms)) for e in row) for row in rows[:10]]
+        rows += [RingVector(random_ring(rng, params) for _ in range(2 * n)) for _ in range(10)]
+        for _ in range(10):
+            factors = [rng.randint(1, n) for _ in range(2 * n)]
+            rows.append(RingVector(
+                rng.randint(-3, 3) * torsion_term(f, rng.randrange(7), params)
+                + free_term(f, rng.randint(-2, 2), params) for f in factors
+            ))
+        zeros = sum(assert_d1_image(row, params).is_zero for row in rows)
+        assert zeros >= 2 * n  # the d2 rows, the cancelling words and the zero row
+
+
+def test_d1_image_takes_fox_rows_on_cells(monkeypatch):
+    # Rows whose columns lie in their own factor under params make no ring
+    # product: d1 is applied to their cells.
+    calls = []
+    monkeypatch.setattr(foxcomplex, "ring_mul", lambda *args: calls.append(args))
+    rng = random.Random(71)
+    for params in (P235, PRIMES8):
+        for w in [random_word(rng, params.n) for _ in range(20)] + list(cancelling_words(params)):
+            assert fundamental_identity_holds(w, params)
+        assert all(d1_image(row, params).is_zero for row in d2_matrix(params))
+    assert calls == []
+
+
+def test_d1_image_raises_as_apply_does():
+    # Built at r = (5, 7), a1's column of a2^3 a1 holds the key a2^4, out of
+    # range at r = (5, 3): d1_image multiplies such a column by its d1
+    # entry, and raises the error apply raises.  A row of the wrong width
+    # is refused with apply's message.
+    built, other = PresentationParams((5, 7)), PresentationParams((5, 3))
+    rows = [
+        starred_fox_row(FreeWord(((agen(2), 3), (agen(1), 1))), built),
+        RingVector((norm_element(1, PresentationParams((7,))), zero(), zero(), zero())),
+        RingVector((zero(),) * 3),
+        RingVector((zero(),) * 6),
+    ]
+    for row in rows:
+        messages = []
+        for image in (lambda: apply(d1_matrix(other), row, other), lambda: d1_image(row, other)):
+            with pytest.raises(ParameterError) as info:
+                image()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    # In range at other orders, such a row gives apply's value.
+    row = starred_fox_row(FreeWord(((bgen(2), 2), (agen(2), 1), (agen(1), -2))), built)
+    assert row[0].groups is not None
+    assert_d1_image(row, PresentationParams((5, 11)))
+
+
 @pytest.mark.parametrize("index", [0, 4])
 def test_fox_row_rejects_generator_index(index):
     # FreeWord(...) is trusted and skips from_letters' index check.
-    d1 = d1_matrix(P235)
     for kind in (agen, bgen):
         w = FreeWord(((agen(1), 2), (kind(index), 1)))
         with pytest.raises(ParameterError, match="out of range"):
             starred_fox_row(w, P235)
         with pytest.raises(ParameterError, match="out of range"):
-            fundamental_identity_holds(w, d1, P235)
+            fundamental_identity_holds(w, P235)
 
 
 def test_d2_entries():
@@ -276,10 +354,9 @@ def test_chain_condition():
 
 def test_fundamental_identity_random():
     rng = random.Random(43)
-    d1 = d1_matrix(P235)
     for _ in range(300):
         w = random_word(rng, 3)
-        assert fundamental_identity_holds(w, d1, P235)
+        assert fundamental_identity_holds(w, P235)
 
 
 def test_fundamental_identity_on_relators():

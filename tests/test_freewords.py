@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -54,6 +55,55 @@ def test_params_huge_order_message(r, message):
     with pytest.raises(ParameterError, match=message) as info:
         PresentationParams(r)
     assert len(str(info.value)) < 100
+
+
+def pairwise_coprimality_error(r):
+    """The message of the first pair (lowest i, then lowest j) that is not
+    coprime, read pair by pair: the reference for PresentationParams."""
+    for i in range(len(r)):
+        for j in range(i + 1, len(r)):
+            if math.gcd(r[i], r[j]) != 1:
+                return f"r[{i}]={r[i]!r} and r[{j}]={r[j]!r} not coprime"
+    return None
+
+
+def coprimality_error(r):
+    try:
+        PresentationParams(r)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def test_coprimality_message_matches_pairwise_on_random_tuples():
+    # Small orders over few primes fail often, with several bad pairs, a
+    # repeated order, or a pair whose gcd is a prime power.
+    rng = random.Random(59)
+    outcomes = set()
+    for _ in range(3000):
+        r = tuple(rng.choice(range(2, rng.choice((12, 40, 200)))) for _ in range(rng.randint(1, 14)))
+        expected = pairwise_coprimality_error(r)
+        assert coprimality_error(r) == expected, r
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_coprimality_message_matches_pairwise_among_many_primes():
+    # One shared factor hidden among the first 600 primes, at random places:
+    # the message names the same pair as the pairwise loop.
+    primes = [p for p in range(2, 4410) if all(p % q for q in range(2, math.isqrt(p) + 1))][:600]
+    assert coprimality_error(primes) is None
+    rng = random.Random(61)
+    for _ in range(40):
+        r = list(primes)
+        p, q = rng.sample(primes, 2)
+        r.insert(rng.randrange(len(r) + 1), rng.choice((p * q, p**2, p * 4421)))
+        if rng.random() < 0.3:
+            rng.shuffle(r)
+        r = tuple(r)
+        expected = pairwise_coprimality_error(r)
+        assert expected is not None
+        assert coprimality_error(r) == expected
 
 
 def test_reduce_cancellation():
