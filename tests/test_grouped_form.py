@@ -21,7 +21,7 @@ from relcert.groupring import (
 from relcert.normalform import IDENTITY, GroupElement, free_power, gmul, torsion_power
 
 from representation import rho_for
-from test_cell_form import built_terms, entry_state
+from test_cell_form import built_terms, entry_state, plain_sum
 from test_groupring import (
     assert_syllable_keys,
     factor_elements,
@@ -63,17 +63,6 @@ def rho_of_form(rho, x):
         for cell, c in cells.items():
             image = rho.mul(rho.syllable(f, cell % stride, cell // stride), rho.key(rest))
             out = rho.add(out, tuple(c * v % rho.p for v in image))
-    return out
-
-
-def plain_sum(xt, yt, sign=1):
-    out = dict(xt)
-    for g, c in yt.items():
-        v = out.get(g, 0) + sign * c
-        if v:
-            out[g] = v
-        else:
-            out.pop(g, None)
     return out
 
 
