@@ -21,10 +21,9 @@ so the chain condition holds verbatim.  d1_image applies them on cells,
 and d1_matrix holds them for export.
 
 A starred row comes from one prefix walk over the word (the product rule
-fills all 2n columns at once, see starred_fox_row), each column in
-groupring's grouped form under params' orders, or in cell form when its
-only suffix is the identity, as in d2.  fox_derivative walks the word once
-per generator and is kept as the reference for each column.
+fills all 2n columns at once, see starred_fox_row), each column grouped
+under params' orders, as in d2.  fox_derivative walks the word once per
+generator and is kept as the reference for each column.
 """
 
 from __future__ import annotations

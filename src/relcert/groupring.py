@@ -5,17 +5,18 @@ with no zero coefficients.  Coefficients are arbitrary-precision: the
 Chinese-remainder data downstream reaches the product of all r_j^2, which
 overflows fixed width quickly.
 
-An element of one factor f's commutative subring Z[C_r x Z] =
-Z[a, b^-1, b]/(a^r - 1) may be held in cell form, `local` = (f, r_f, cells)
-of _factor_cells, in place of the dict form `terms`, {GroupElement:
-coefficient}.  The torsion, free, norm and ramp builders and parse_ring
-give cell form alone; products, sums and equality of operands that read
-as cells of one factor stay on cells.  Starred Fox columns and the
-products of _split_mul are grouped, `groups` = (f, r, {suffix: cells}), a
-suffix other than () among them; one is used as it stands only under the
-n orders r it was built with, since its suffixes hold syllables of other
-factors.  Sums and equality of a grouped operand with one that groups_at
-reads at its factor and orders stay on groups.  Terms are built when read.
+An element is held in one of two forms.  Dict form, `terms`, is
+{GroupElement: coefficient}.  Grouped form, `groups` = (f, r, {suffix:
+cells}), leads with one factor f under the n orders r: cell m * 2r_f + k
+of suffix s holds the coefficient of a_f^k b_f^m s, and no suffix starts
+in f.  An element of f's commutative subring Z[C_r x Z] =
+Z[a, b^-1, b]/(a^r - 1) is the case of the one suffix ().  The builders,
+starred Fox columns, the products of _split_mul and parse_ring, but for a
+multiple of the identity, give grouped form.  Sums and equality of a
+grouped operand with one that groups_at reads at its factor and orders
+stay on groups.  Groups are used as they stand only under the orders they
+were built with, since those orders reduced their cells and suffixes.
+Terms are built when read.
 
 Multiplication takes one of two exact paths and both give the same value.
 When the left operand x lies in one factor f's subring, ring_mul splits
@@ -26,9 +27,9 @@ x v_s is a product inside one factor's subring on plain integer cells: by
 Kronecker substitution, one big-integer product folded by a^r = 1 while
 unpacking, when the operands' shape says it pays (_packs), and by a cell
 convolution otherwise.  A product of two elements of one subring is the
-case of a single group with suffix (), in cell form.  Any other product,
-one-factor operand on the right included, runs the plain convolution, one
-gmul per pair of keys (_convolve).  No command makes one: every one-factor
+case of a single group with suffix ().  Any other product, one-factor
+operand on the right included, runs the plain convolution, one gmul per
+pair of keys (_convolve).  No command makes one: every one-factor
 coefficient is written as the left operand of its product.
 """
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from collections import Counter
 from operator import add
 
 from .errors import ParseError
@@ -53,26 +55,24 @@ from .normalform import (
 
 
 class RingElement:
-    """A finitely supported integer combination of group elements in dict,
-    cell or grouped form (module docstring); __getattr__ fills unset terms."""
+    """A finitely supported integer combination of group elements in dict
+    or grouped form (module docstring); __getattr__ fills unset terms."""
 
-    __slots__ = ("terms", "local", "groups")
+    __slots__ = ("terms", "groups")
     __hash__ = None
 
-    def __init__(self, terms: dict[GroupElement, int] | None, local=None, groups=None):
-        # Trusted to contain no zero coefficients, local and groups to match
-        # terms, and groups to hold no empty cells and a suffix other than ().
+    def __init__(self, terms: dict[GroupElement, int] | None, groups=None):
+        # Trusted to contain no zero coefficients, groups to match terms and
+        # to hold no empty group and no zero cell.
         if terms is not None:
             self.terms = terms
-        self.local = local
         self.groups = groups
 
     def __getattr__(self, name):
         if name != "terms":
             raise AttributeError(name)
-        local = self.local
-        factor, r, groups = (*local[:2], {IDENTITY: local[2]}) if local else self.groups
-        stride = 2 * (r if local else r[factor - 1])
+        factor, orders, groups = self.groups
+        stride = 2 * orders[factor - 1]
         self.terms = terms = {}
         for rest, cells in groups.items():  # cell s: a^(s mod 2r) b^(s div 2r) put before rest
             for cell, c in cells.items():
@@ -85,8 +85,7 @@ class RingElement:
 
     @property
     def is_zero(self) -> bool:
-        local = self.local
-        return not (local[2] if local else self.groups or self.terms)
+        return not (self.groups or self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
@@ -94,8 +93,6 @@ class RingElement:
         pair = (self.groups or other.groups) and _group_pair(self, other)
         if pair:  # both canonical, so their groups are equal as they stand
             return pair[2] == pair[3]
-        if self.local or other.local:  # on cells, where both read as cells
-            return ring_sum(self, other, -1).is_zero
         return self.terms == other.terms
 
     def __add__(self, other: "RingElement") -> "RingElement":
@@ -110,9 +107,13 @@ class RingElement:
     def __rmul__(self, c: int) -> "RingElement":
         if not isinstance(c, int):
             return NotImplemented
-        local = self.local
-        scaled = {g: c * v for g, v in (local[2] if local else self.terms).items()} if c else {}
-        return RingElement(None, (*local[:2], scaled)) if local else RingElement(scaled)
+        if not c:
+            return RingElement({})
+        if self.groups is None:
+            return RingElement({g: c * v for g, v in self.terms.items()})
+        factor, orders, groups = self.groups
+        scaled = {rest: {s: c * v for s, v in cells.items()} for rest, cells in groups.items()}
+        return from_groups(factor, orders, scaled)
 
     def __repr__(self) -> str:
         return f"RingElement({ring_to_text(self)!r})"
@@ -145,26 +146,34 @@ def from_terms(pairs) -> RingElement:
 
 
 def from_groups(factor: int, orders: tuple[int, ...], groups: dict) -> RingElement:
-    """sum_s (groups[s], nonempty cells of factor) s in canonical form: cell
-    form when () is the only suffix, grouped under orders when there are
-    others, and the dict zero when there are none."""
-    if len(groups) == 1 and IDENTITY in groups:
-        return RingElement(None, (factor, orders[factor - 1], groups[IDENTITY]))
-    return RingElement(None, None, (factor, orders, groups)) if groups else RingElement({})
+    """sum_s (groups[s], nonempty cells of factor) s, grouped under orders,
+    or the dict zero when there are no groups."""
+    return RingElement(None, (factor, orders, groups)) if groups else RingElement({})
 
 
 def groups_at(x: RingElement, factor: int, orders: tuple[int, ...]):
-    """x's groups {suffix: cells}: as they stand when x is grouped at factor
-    under orders, its cells as the suffix () alone when x is in cell form of
-    factor at orders[factor - 1], {} for the dict zero; None otherwise."""
-    grouped, local = x.groups, x.local
-    if grouped:
-        return grouped[2] if grouped[0] == factor and grouped[1] == orders else None
-    if local:
-        if local[0] != factor or local[1] != orders[factor - 1]:
+    """x's groups {suffix: cells} at factor under orders: as they stand when
+    x is grouped there; when every key of x is the identity or a syllable
+    a^k b^m of factor in normal form at r = orders[factor - 1], its cells
+    as the suffix () alone, or {} for zero; None otherwise.
+
+    The cell m * 2r + k of a term a^k b^m is its slot in a layout with 2r
+    slots per free exponent: cells of a product add, and cell s with
+    s mod 2r >= r folds onto s - r, applying a^r = 1."""
+    grouped = x.groups
+    if grouped and grouped[0] == factor and grouped[1] == orders:
+        return grouped[2]
+    r = orders[factor - 1]
+    stride = 2 * r
+    cells: dict[int, int] = {}
+    for g, c in x.terms.items():
+        if len(g) > 1:
             return None
-        return {IDENTITY: local[2]} if local[2] else {}
-    return None if x.terms else {}
+        f, k, m = g[0] if g else (factor, 0, 0)  # the identity is cell 0
+        if f != factor or not (0 <= k < r and (k or m or not g)):
+            return None
+        cells[m * stride + k] = c
+    return {IDENTITY: cells} if cells else {}
 
 
 def _group_pair(x: RingElement, y: RingElement):
@@ -177,9 +186,8 @@ def _group_pair(x: RingElement, y: RingElement):
 
 def ring_sum(x: RingElement, y: RingElement, sign: int = 1, in_place: bool = False) -> RingElement:
     """x + sign * y (sign 1 or -1): suffix by suffix when _group_pair reads
-    both as groups, on cells when x or y is in cell form and the other reads
-    as cells of its factor and order, on terms otherwise.  in_place spends
-    x; otherwise the result may share x's cells, never y's."""
+    both as groups, on terms otherwise.  in_place spends x; otherwise the
+    result may share x's cells, never y's."""
     pair = (x.groups or y.groups) and _group_pair(x, y)
     if pair:
         factor, orders, out, theirs = pair
@@ -191,47 +199,36 @@ def ring_sum(x: RingElement, y: RingElement, sign: int = 1, in_place: bool = Fal
             if mine:
                 out[rest] = mine
         return from_groups(factor, orders, out)
-    local = x.local or y.local
-    yd = None
-    if local:
-        xd = _cells(x, local[0], local[1])
-        yd = None if xd is None else _cells(y, local[0], local[1])
-    if yd is None:
-        local, xd, yd = None, x.terms, y.terms
-    items = yd.items() if sign > 0 else ((g, -c) for g, c in yd.items())
-    acc = accumulate(xd if in_place else dict(xd), items)
-    return RingElement(None, (local[0], local[1], acc)) if local else RingElement(acc)
+    items = y.terms.items() if sign > 0 else ((g, -c) for g, c in y.terms.items())
+    return RingElement(accumulate(x.terms if in_place else dict(x.terms), items))
 
 
 def torsion_term(i: int, j: int, params: PresentationParams) -> RingElement:
     """a_i^j."""
     r = params.order(i)
-    return RingElement(None, (i, r, {j % r: 1}))
+    return from_groups(i, params.r, {IDENTITY: {j % r: 1}})
 
 
 def free_term(i: int, m: int, params: PresentationParams) -> RingElement:
     """b_i^m."""
     r = params.order(i)
-    return RingElement(None, (i, r, {m * 2 * r: 1}))
+    return from_groups(i, params.r, {IDENTITY: {m * 2 * r: 1}})
 
 
 def ring_mul(x: RingElement, y: RingElement, params: PresentationParams) -> RingElement:
     """Bilinear extension of the group product: grouped by y's first syllable
     (_split_mul) when x lies in one factor's subring, by the plain
     convolution (_convolve) otherwise.  The result is a fresh element."""
-    xl, yl, yg = x.local, y.local, y.groups
-    # A grouped y reads as its groups, whose suffixes are never all ().
-    xt, yt = xl[2] if xl else x.terms, yl[2] if yl else yg[2] if yg else y.terms
-    if not xt or not yt:
+    if x.is_zero or y.is_zero:
         return RingElement({})
-    # A multiple of the identity, key () or cell 0, commutes with everything.
-    if len(yt) == 1 and not next(iter(yt)):
-        return sum(yt.values()) * x
-    if len(xt) == 1 and not next(iter(xt)):
-        return sum(xt.values()) * y
-    local = _factor_cells(x, params)
-    if local is not None:
-        return _split_mul(local, y, params)
+    # A multiple of the identity in dict form commutes with everything.
+    if y.groups is None and len(y.terms) == 1 and IDENTITY in y.terms:
+        return y.terms[IDENTITY] * x
+    if x.groups is None and len(x.terms) == 1 and IDENTITY in x.terms:
+        return x.terms[IDENTITY] * y
+    lead = _factor_cells(x, params)
+    if lead is not None:
+        return _split_mul(*lead, y, params)
     return RingElement(_convolve(x.terms, y.terms, params))
 
 
@@ -245,41 +242,21 @@ def _convolve(xt, yt, params: PresentationParams) -> dict[GroupElement, int]:
 
 
 def _factor_cells(x: RingElement, params: PresentationParams):
-    """(f, r_f, {m * 2 r_f + k: coefficient}) when x is in cell form at
-    r_f = params.r[f - 1], or every key of x is the identity or a syllable
-    a_f^k b_f^m of one factor f in normal form (1 <= f <= n, 0 <= k < r_f,
-    not both zero) and some key is not; None otherwise.
-
-    The cell m * 2r + k of a term a^k b^m is its slot in a layout with 2r
-    slots per free exponent: cells of a product add, and cell s with
-    s mod 2r >= r folds onto s - r, applying a^r = 1."""
-    local, r = x.local, params.r
-    # Cell form names its factor; else the first key that is not the identity.
-    f = local[0] if local else next(filter(None, x.terms), ((0,),))[0][0]
-    cells = _cells(x, f, r[f - 1]) if 1 <= f <= len(r) else None
-    return None if cells is None else (f, r[f - 1], cells)
+    """(f, cells) when groups_at reads x under params' orders as the cells
+    of f's subring alone, f being the factor x is grouped at, or else that
+    of its first key that is not the identity; None otherwise."""
+    r = params.r
+    f = x.groups[0] if x.groups else next(filter(None, x.terms), ((0,),))[0][0]
+    groups = groups_at(x, f, r) if 1 <= f <= len(r) else None
+    if groups and len(groups) == 1 and IDENTITY in groups:
+        return f, groups[IDENTITY]
+    return None
 
 
-def _cells(x: RingElement, factor: int, r: int):
-    """x's cells at factor and order r, or None (_factor_cells)."""
-    local = x.local
-    if local and local[0] == factor and local[1] == r:
-        return local[2]
-    stride = 2 * r
-    cells: dict[int, int] = {}
-    for g, c in x.terms.items():
-        if len(g) > 1:
-            return None
-        f, k, m = g[0] if g else (factor, 0, 0)  # the identity is cell 0
-        if f != factor or not (0 <= k < r and (k or m or not g)):
-            return None
-        cells[m * stride + k] = c
-    return cells
-
-
-def _split_mul(local, other: RingElement, params: PresentationParams) -> RingElement:
-    """x * other for x = (f, r_f, cells) of _factor_cells, the product
-    grouped by the first syllable of other's keys.
+def _split_mul(factor: int, cells, other: RingElement, params: PresentationParams) -> RingElement:
+    """x * other for x with the given cells of factor f's subring
+    (_factor_cells), the product grouped by the first syllable of other's
+    keys.
 
     Each key h of `other` splits as s_h h', s_h being h's first syllable
     when it lies in f and the identity otherwise.  Then x * other = sum
@@ -287,27 +264,15 @@ def _split_mul(local, other: RingElement, params: PresentationParams) -> RingEle
     h' and lies in f's subring, like x.  Since h' does not start in f, each
     product key is h' with at most one syllable of f put in front of it,
     and keys of different groups never meet.  Groups that groups_at reads
-    off `other` under params' orders are taken as they stand, and the
-    product keeps its groups (from_groups): no key is built until read."""
-    factor, r, cells = local
+    off `other` under params' orders are taken as they stand; other keys
+    are range-checked and split (_split).  The product keeps its groups
+    (from_groups): no key is built until read."""
+    r = params.r[factor - 1]
     groups = groups_at(other, factor, params.r)
     if groups is None:
-        stride = 2 * r
-        groups: dict[GroupElement, dict[int, int]] = {}
-        for h, c in other.terms.items():
+        for h in other.terms:
             check_reduced(h, params)
-            if h and h[0][0] == factor:
-                _, k, m = h[0]
-                cell = m * stride + k
-                rest = h[1:]
-            else:
-                cell, rest = 0, h
-            group = groups.get(rest)
-            if group is None:
-                # Each group's key is an element once: h itself, or its slice wrapped.
-                groups[rest if rest is h else GroupElement(rest)] = {cell: c}
-            else:
-                group[cell] = c
+        groups = _split(other.terms, factor, r)
     out = {}
     for rest, group in groups.items():
         # x v_rest, folded by a^r = 1, with no zero cells.
@@ -315,6 +280,28 @@ def _split_mul(local, other: RingElement, params: PresentationParams) -> RingEle
         if prod:
             out[rest] = prod
     return from_groups(factor, params.r, out)
+
+
+def _split(terms: dict[GroupElement, int], factor: int, r: int) -> dict:
+    """terms, reduced keys with no zero coefficient, grouped at factor of
+    order r: the key h is cell m * 2r + k of the suffix h' when h is
+    a^k b^m h' with a^k b^m a syllable of factor, and cell 0 of h otherwise."""
+    stride = 2 * r
+    groups: dict[GroupElement, dict[int, int]] = {}
+    for h, c in terms.items():
+        if h and h[0][0] == factor:
+            _, k, m = h[0]
+            cell = m * stride + k
+            rest = h[1:]
+        else:
+            cell, rest = 0, h
+        group = groups.get(rest)
+        if group is None:
+            # Each group's key is an element once: h itself, or its slice wrapped.
+            groups[rest if rest is h else GroupElement(rest)] = {cell: c}
+        else:
+            group[cell] = c
+    return groups
 
 
 def _cell_mul(xc, yc, r: int) -> dict[int, int]:
@@ -456,13 +443,13 @@ _TYPECODES = {array(t).itemsize: t for t in "bhilq"}
 def norm_element(i: int, params: PresentationParams) -> RingElement:
     """Sum of all powers of the torsion generator: 1 + a_i + ... + a_i^{r_i - 1}."""
     r = params.order(i)
-    return RingElement(None, (i, r, dict.fromkeys(range(r), 1)))
+    return from_groups(i, params.r, {IDENTITY: dict.fromkeys(range(r), 1)})
 
 
 def ramp_element(i: int, params: PresentationParams) -> RingElement:
     """Linearly weighted sum of torsion powers: sum of j * a_i^j, j < r_i."""
     r = params.order(i)
-    return RingElement(None, (i, r, {k: k for k in range(1, r)}))
+    return from_groups(i, params.r, {IDENTITY: {k: k for k in range(1, r)}})
 
 
 def check_cyclic_identities(i: int, params: PresentationParams) -> dict[str, bool]:
@@ -485,13 +472,14 @@ def check_cyclic_identities(i: int, params: PresentationParams) -> dict[str, boo
 def ring_to_text(x: RingElement, memo: dict | None = None) -> str:
     """Signed sum of "c*<groupword>" terms in canonical key order;
     coefficient 1 omitted, identity prints "e", zero prints "0".  `memo`
-    (one dict per document) keeps word texts, cells' under (factor, r)."""
+    (one dict per document) keeps word texts, cells' under (factor, 2r)."""
     memo = {} if memo is None else memo
-    local = x.local
-    if local:
-        factor, r, cells = local
-        stride = 2 * r
-        words = memo.setdefault((factor, r), {0: "e"})
+    grouped = x.groups
+    if grouped and len(grouped[2]) == 1 and IDENTITY in grouped[2]:  # cells of one factor
+        factor, orders, groups = grouped
+        cells = groups[IDENTITY]
+        stride = 2 * orders[factor - 1]
+        words = memo.setdefault((factor, stride), {0: "e"})
         # Stable sorts of cells m * 2r + k: by m, by k, identity first.
         keys = sorted(sorted(sorted(cells), key=stride.__rmod__), key=bool)
     else:
@@ -504,7 +492,8 @@ def ring_to_text(x: RingElement, memo: dict | None = None) -> str:
         c = cells[g]
         word = words.get(g)
         if word is None:  # cell g is the syllable a^(g mod 2r) b^(g div 2r)
-            word = words[g] = element_to_text(((factor, g % stride, g // stride),) if local else g)
+            key = g if words is memo else ((factor, g % stride, g // stride),)
+            word = words[g] = element_to_text(key)
         sign = " + " if c > 0 else " - "
         chunks.append(sign + word if c in (1, -1) else f"{sign}{abs(c)}*{word}")
     text = "".join(chunks)
@@ -587,9 +576,13 @@ def parse_ring(
         if not end:
             break
         sign = 1 if end == "+" else -1
-    x = RingElement(acc)
-    local = _factor_cells(x, params)
-    return x if local is None else RingElement(None, local)
+    # The keys are reduced under params: group them at the factor that leads
+    # the most, where products meet them.  Any factor gives the same value.
+    leads = Counter(g[0][0] for g in acc if g)
+    if not leads:  # zero, or a multiple of the identity
+        return RingElement(acc)
+    factor = leads.most_common(1)[0][0]
+    return from_groups(factor, params.r, _split(acc, factor, params.r[factor - 1]))
 
 
 # One term: whitespace, a coefficient of ASCII digits with its '*' right

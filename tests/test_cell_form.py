@@ -1,5 +1,5 @@
-"""The two forms of a ring element.  An element of one factor's subring in
-cell form (see groupring's module docstring) is held to the same element
+"""An element of one factor's subring on cells: grouped with the suffix ()
+alone (see groupring's module docstring), held to the same element
 rebuilt as a plain dict, and both to rho (representation.py)."""
 
 import random
@@ -15,7 +15,8 @@ from relcert.freewords import PresentationParams
 from relcert.groupring import (
     RingElement,
     free_term,
-    from_terms,
+    from_groups,
+    groups_at,
     norm_element,
     one,
     parse_ring,
@@ -27,6 +28,7 @@ from relcert.groupring import (
 )
 from relcert.relmodule import lifted_generator
 
+from forms import assert_canonical, built_terms, entry_state, one_factor, plain_sum
 from representation import rho_for
 from test_groupring import (
     assert_syllable_keys,
@@ -42,15 +44,11 @@ P235 = PresentationParams((2, 3, 5))
 
 
 def cell_form(x, factor, params):
-    """x, an element of factor's subring, read into cell form through that
-    factor's cell-form zero."""
-    z = 0 * torsion_term(factor, 0, params) + x
-    assert z.local is not None
+    """x, an element of factor's subring, read by groups_at into grouped
+    form with the suffix () alone, or the dict zero."""
+    z = from_groups(factor, params.r, groups_at(x, factor, params.r))
+    assert one_factor(z) != z.is_zero
     return z
-
-
-def plain_sum(xt, yt, sign=1):
-    return from_terms([*xt.items(), *((g, sign * c) for g, c in yt.items())]).terms
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,8 +81,9 @@ def test_cell_form_matches_dict_form(data, r, second):
         "scaling": k * xc,
     }
     for name, z in got.items():
-        # A product with a zero operand is the dict-form zero.
-        assert z.local is not None or name == "product" and (xd.is_zero or yd.is_zero), name
+        # Each result is on cells, or the dict zero.
+        assert_canonical(z, params)
+        assert one_factor(z) != z.is_zero, name
         text = ring_to_text(z)  # read off the cells: no terms are built yet
         assert z.is_zero == (not expected[name]), name
         assert z.terms == expected[name], name
@@ -92,8 +91,10 @@ def test_cell_form_matches_dict_form(data, r, second):
         assert text == ring_to_text(RingElement(expected[name])), name
     # A dict-form operand reads as cells of the other operand's factor.
     for a, b in ((xc, yd), (xd, yc)):
-        assert (a + b).local is not None and (a + b).terms == expected["sum"]
-        assert (a - b).local is not None and (a - b).terms == expected["difference"]
+        for name, z in (("sum", a + b), ("difference", a - b)):
+            assert_canonical(z, params)
+            assert one_factor(z) or z.is_zero or not (a.groups or b.groups), name
+            assert z.terms == expected[name], name
     for a, b in ((xc, yc), (xc, yd), (xd, yc), (xd, yd)):
         assert (a == b) == (xt == yt) == (b == a)
     assert xc == xd and xd == xc
@@ -107,9 +108,10 @@ def test_cell_form_matches_dict_form(data, r, second):
 
 
 def test_parse_ring_reads_one_factor_text_into_cells_alone():
-    # A one-factor text is held in cell form with no terms until they are
-    # read; they then hold the value the reference reader gives.  A text
-    # with a key of two factors, or the identity alone, stays in dict form.
+    # A one-factor text is held on cells with no terms until they are read;
+    # they then hold the value the reference reader gives.  A text with a
+    # key of two factors is grouped with other suffixes, and one of the
+    # identity alone, or zero, stays in dict form.
     params = PresentationParams((7, 5))
     for text, factor in (
         ("a1^3 b1^-2 - 4*e + 2*b1^7", 1),
@@ -118,15 +120,18 @@ def test_parse_ring_reads_one_factor_text_into_cells_alone():
         ("a1^7 b1", 1),
     ):
         x = parse_ring(text, params)
-        assert x.local is not None and x.local[:2] == (factor, params.r[factor - 1])
-        assert x.groups is None and built_terms(x) is None
+        assert one_factor(x) and x.groups[:2] == (factor, params.r)
+        assert built_terms(x) is None
         text_before = ring_to_text(x)  # read off the cells
         expected = reference_parse_ring(text, params).terms
         assert x.terms == expected and built_terms(x) == expected
         assert text_before == ring_to_text(RingElement(dict(expected)))
-    for text in ("a1 b2 + e", "3*e", "a1 - a1"):
+    x = parse_ring("a1 b2 + e", params)
+    assert x.groups[:2] == (1, params.r) and not one_factor(x)
+    assert x.terms == reference_parse_ring("a1 b2 + e", params).terms
+    for text in ("3*e", "a1 - a1"):
         x = parse_ring(text, params)
-        assert x.local is None and built_terms(x) == reference_parse_ring(text, params).terms
+        assert x.groups is None and built_terms(x) == reference_parse_ring(text, params).terms
 
 
 def test_builders_give_cell_form():
@@ -139,17 +144,17 @@ def test_builders_give_cell_form():
         one() - torsion_term(1, 1, params),
         ring_mul(norm_element(1, params), ramp_element(1, params), params),
     ):
-        assert x.local is not None
+        assert one_factor(x) and x.groups[1] == params.r
         assert_syllable_keys(x.terms)
     assert (0 * torsion_term(1, 1, params)).is_zero
 
 
 def test_cell_form_keeps_range_checks():
-    # N_1 built at r = 7 is in cell form at order 7.  At r = 5 its cells are
-    # not used: its keys a1^5 and a1^6 are range-checked and rejected in
-    # either operand order.
+    # N_1 built at r = 7 is on cells under the orders (7,).  At r = 5 its
+    # cells are not used: its keys a1^5 and a1^6 are range-checked and
+    # rejected in either operand order.
     foreign = norm_element(1, PresentationParams((7,)))
-    assert foreign.local[:2] == (1, 7)
+    assert one_factor(foreign) and foreign.groups[:2] == (1, (7,))
     p5 = PresentationParams((5,))
     for other in (norm_element(1, p5), torsion_term(1, 1, p5), free_term(1, 1, p5)):
         for a, b in ((foreign, other), (other, foreign)):
@@ -160,42 +165,47 @@ def test_cell_form_keeps_range_checks():
     stray = torsion_term(1, 1, PresentationParams((7,)))
     assert ring_mul(stray, torsion_term(1, 4, p5), p5) == one()
     assert ring_mul(torsion_term(1, 4, p5), stray, p5) == one()
-
-
-def built_terms(e):
-    """A copy of e's terms, or None while a cell-form e has not built them:
-    the slot is read without __getattr__, which would build them."""
-    try:
-        return dict(RingElement.terms.__get__(e))
-    except AttributeError:
-        return None
-
-
-def entry_state(elements):
-    """Copies of each element's cells, its groups' cells and, where built,
-    its terms."""
-    return [
-        (
-            dict(e.local[2]) if e.local else None,
-            {rest: dict(cells) for rest, cells in e.groups[2].items()} if e.groups else None,
-            built_terms(e),
-        )
-        for e in elements
-    ]
+    # Parsed under (5, 7), "a1 a2^6 + b1" is grouped at factor 1 with the
+    # suffix a2^6, out of range at (5, 3).  Used there, in either operand
+    # order, it raises as the dict form of that text does.
+    built, other = PresentationParams((5, 7)), PresentationParams((5, 3))
+    text = "a1 a2^6 + b1"
+    parsed = parse_ring(text, built)
+    assert parsed.groups[:2] == (1, built.r) and not one_factor(parsed)
+    plain = reference_parse_ring(text, built)
+    assert plain.groups is None
+    for mate in (torsion_term(1, 2, other), torsion_term(2, 1, other), free_term(2, 1, other)):
+        for pair in ((parsed, mate), (mate, parsed)):
+            messages = []
+            for a, b in (pair, tuple(plain if e is parsed else e for e in pair)):
+                with pytest.raises(ParameterError, match="different parameters") as info:
+                    ring_mul(a, b, other)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+    # A one-factor element built under (7,) is read on its terms under
+    # (7, 5), and gives the value of its dict form there.
+    p75 = PresentationParams((7, 5))
+    seven = ramp_element(1, PresentationParams((7,)))
+    mates = (norm_element(1, p75), torsion_term(2, 3, p75) + free_term(1, 2, p75), -one())
+    for mate in mates:
+        for a, b in ((seven, mate), (mate, seven)):
+            assert ring_mul(a, b, p75).terms == reference_mul(a.terms, b.terms, p75)
+            assert (a - b).terms == plain_sum(a.terms, b.terms, -1)
+            assert (a == b) == (a.terms == b.terms)
 
 
 def test_apply_leaves_its_operands_unchanged(monkeypatch):
-    # Rows mix dict-form d2 rows, lifted generators (cell form beside the
-    # dict-form 1) and random rows of one-factor and mixed elements.
+    # Rows mix d2 rows, lifted generators (on cells beside the dict-form 1)
+    # and random rows of one-factor and mixed elements.
     params = P235
     rng = random.Random(11)
 
     def element():
         factor = rng.randint(1, params.n)
-        local = 3 * torsion_term(factor, rng.randrange(5), params) - free_term(factor, 1, params)
+        sub = 3 * torsion_term(factor, rng.randrange(5), params) - free_term(factor, 1, params)
         return rng.choice([
-            lambda: ring_mul(norm_element(factor, params), local, params),
-            lambda: local,
+            lambda: ring_mul(norm_element(factor, params), sub, params),
+            lambda: sub,
             lambda: random_ring(rng, params),
             lambda: rng.randint(-3, 3) * one(),
             zero,
@@ -223,7 +233,7 @@ def test_apply_leaves_its_operands_unchanged(monkeypatch):
 
     def aligned_coefficients():
         """Coefficients whose first 2n lie in the factor of d2's row, so
-        that columns sum several cell-form products of one factor."""
+        that columns sum several products on cells of one factor."""
         aligned = []
         for k in range(2 * params.n):
             f = k % params.n + 1
@@ -233,19 +243,19 @@ def test_apply_leaves_its_operands_unchanged(monkeypatch):
 
     for trial in range(10):
         v = (aligned_coefficients if trial % 2 else random_coefficients)()
-        # First with the cell-form terms unbuilt, then with every dict built.
+        # First with the grouped terms unbuilt, then with every dict built.
         for built in (False, True):
             if built:
                 for e in (*operands, *v):
                     e.terms
             before = entry_state(operands + list(v))
-            assert built or any(e.local and built_terms(e) is None for e in v)
+            assert built or any(one_factor(e) and built_terms(e) is None for e in v)
             result = apply(matrix, v, params)
-            # apply may build terms (a cell-form row entry times a mixed
+            # apply may build terms (a row entry on cells times a mixed
             # coefficient); it changes no cells and no terms already built.
             after = entry_state(operands + list(v))
-            for (cells, groups, terms), (cells_after, groups_after, terms_after) in zip(before, after):
-                assert cells_after == cells and groups_after == groups
+            for (groups, terms), (groups_after, terms_after) in zip(before, after):
+                assert groups_after == groups
                 assert terms is None or terms_after == terms
             assert [e.terms for e in result] == columns(matrix, v)
 

@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcert import certificate, cli, foxcomplex, relmodule
+from relcert import certificate, cli, foxcomplex, groupring, relmodule
 from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams
 from relcert.foxcomplex import RingMatrix, RingVector, apply, compose, d2_matrix
@@ -31,12 +32,14 @@ from relcert.certificate import (
     replay,
     splitting_report,
 )
-from test_cell_form import entry_state
-from test_groupring import random_ring, syllable_elements
+from forms import entry_state
+from representation import rho_for
+from test_groupring import random_ring, reference_parse_ring, syllable_elements
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
 P7 = PresentationParams((7,))
+PRIMES8 = (2, 3, 5, 7, 11, 13, 17, 19)
 FAMILIES = [P23, P235, PresentationParams((3, 4, 5))]
 
 
@@ -397,6 +400,47 @@ def test_repeated_texts_share_one_element():
     cert = certificate_from_json(obj)
     assert all(cert.basis_ops[0].coeff is not x for row in cert.lam for x in row)
     assert check_certificate(cert).accepted
+
+
+@pytest.mark.parametrize("orders", [(2, 3, 5, 7), PRIMES8])
+def test_mu_text_parses_grouped_where_products_meet_it(orders):
+    # mu[k][i] for i != k is -lambda_ki (1 - a_i), lambda_ki in factor k's
+    # subring (0-based k), so its text is read grouped at factor k + 1 under
+    # the certificate's orders: there X_{k+1}'s entries meet it.  Every
+    # parsed element holds the value of its text.
+    params = PresentationParams(orders)
+    n = params.n
+    obj = json.loads(certificate_bytes(build_certificate(params)))
+    cert = certificate_from_json(obj)
+    for k in range(n):
+        for i in range(n):
+            if i != k:
+                x = cert.mu[k][i]
+                assert x.groups[:2] == (k + 1, params.r) and len(x.groups[2]) > 1
+    rho = rho_for(params)
+    for text, x in site_texts(obj, cert):
+        expected = reference_parse_ring(text, params)
+        assert x == expected and x.terms == expected.terms
+        assert rho.ring(x) == rho.text(text)
+
+
+def test_check_cert_does_not_recheck_parsed_keys(monkeypatch):
+    # Parsed text is grouped under the orders it was read with, so the
+    # products that meet it take its groups as they stand.  Reading the
+    # two-factor mu text as a dict made _split_mul range-check its keys
+    # again: 4,508 calls for the eight primes.  At most a tenth are left.
+    obj = json.loads(certificate_bytes(build_certificate(PresentationParams(PRIMES8))))
+    calls = []
+    original = groupring.check_reduced
+
+    def counted(x, params):
+        if sys._getframe(1).f_code.co_name == "_split_mul":
+            calls.append(x)
+        return original(x, params)
+
+    monkeypatch.setattr(groupring, "check_reduced", counted)
+    assert check_certificate_json(obj).accepted
+    assert len(calls) <= 450
 
 
 def parsed_elements(cert):

@@ -42,10 +42,10 @@ from relcert.groupring import (
     torsion_term,
     zero,
 )
-from relcert.normalform import IDENTITY, GroupElement, project
+from relcert.normalform import GroupElement, project
+from forms import assert_canonical, one_factor
 from representation import rho_for
 from test_groupring import assert_syllable_keys, group_term, random_ring, reference_mul, star
-from test_grouped_form import assert_canonical
 
 P23 = PresentationParams((2, 3))
 P235 = PresentationParams((2, 3, 5))
@@ -159,7 +159,7 @@ def assert_grouped_columns(w, params):
     rho = rho_for(params)
     images = rho.starred_fox_row(w)
     for col, entry, expected, image in zip(row, d1_matrix(params), plain, images):
-        assert entry[0].local is not None
+        assert one_factor(entry[0])
         assert col.is_zero == (not expected)
         assert col.terms == expected
         assert_syllable_keys(col.terms)
@@ -179,10 +179,10 @@ def test_grouped_columns_random_and_cancelling():
         words = [random_word(rng, params.n) for _ in range(60)]
         for w in [*words, *cancelling_words(params)]:
             for col in assert_grouped_columns(w, params):
-                forms.add("grouped" if col.groups else "cell" if col.local else "dict")
+                forms.add("cell" if one_factor(col) else "grouped" if col.groups else "dict")
                 if col.groups:
                     factor, orders, groups = col.groups
-                    assert orders == params.r and (IDENTITY not in groups or len(groups) > 1)
+                    assert orders == params.r and groups
                     for rest, cells in groups.items():
                         assert type(rest) is GroupElement and cells
                         assert not rest or rest[0][0] != factor
@@ -221,8 +221,9 @@ def test_d2_entries_born_in_cell_form():
         )]
         for row, expected in zip(d2_matrix(params), plain):
             for entry, terms in zip(row, expected):
-                assert (entry.local is not None) == bool(terms)
-                assert entry.groups is None and entry.terms == terms
+                assert one_factor(entry) == bool(terms)
+                assert entry.groups is None or entry.groups[1] == params.r
+                assert entry.terms == terms
 
 
 def assert_d1_image(row, params):
@@ -250,7 +251,7 @@ def test_d1_image_matches_apply():
         rows += d2_matrix(params)
         rows.append(RingVector((zero(),) * (2 * n)))
         # Dict copies of Fox rows, rows of dict-form elements with keys of
-        # several factors, and columns in cell form of another factor.
+        # several factors, and columns on cells of another factor.
         rows += [RingVector(RingElement(dict(e.terms)) for e in row) for row in rows[:10]]
         rows += [RingVector(random_ring(rng, params) for _ in range(2 * n)) for _ in range(10)]
         for _ in range(10):
@@ -332,7 +333,7 @@ def test_d1_entries():
     assert d1[0][0] == torsion_term(1, -1, P23) - one()
     assert d1[1][0] == free_term(1, -1, P23) - one()
     assert d1[3][0] == free_term(2, -1, P23) - one()
-    # Each entry x^-1 - 1 is born in cell form, with the value and text of
+    # Each entry x^-1 - 1 is born on cells, with the value and text of
     # the dict-form group_term(x^-1) - 1.
     for p in (PRIMES8, P509):
         d1 = d1_matrix(p)
@@ -340,7 +341,7 @@ def test_d1_entries():
         for g, row in zip(generators(p.n), d1):
             entry = row[0]
             expected = group_term(project(FreeWord(((g, -1),)), p)) - one()
-            assert entry.local is not None and expected.local is None
+            assert one_factor(entry) and expected.groups is None
             assert entry == expected
             assert ring_to_text(entry) == ring_to_text(expected)
 

@@ -14,14 +14,16 @@ from relcert.groupring import (
     free_term,
     norm_element,
     one,
+    parse_ring,
     ring_mul,
     ring_sum,
     torsion_term,
+    zero,
 )
-from relcert.normalform import IDENTITY, GroupElement, free_power, gmul, torsion_power
+from relcert.normalform import free_power, gmul, torsion_power
 
+from forms import assert_canonical, entry_state, one_factor, plain_sum, rho_of_form
 from representation import rho_for
-from test_cell_form import built_terms, entry_state, plain_sum
 from test_groupring import (
     assert_syllable_keys,
     factor_elements,
@@ -29,41 +31,6 @@ from test_groupring import (
     reference_mul,
     split_operands,
 )
-
-
-def assert_canonical(x, params):
-    """x holds one canonical form, read without building its terms: grouped
-    at factor f under params' orders, with a suffix other than (), each
-    suffix an element that does not start in f, and no empty group and no
-    zero cell; or cell form at f's order with no zero cell; or dict form
-    with no zero coefficient."""
-    if x.groups:
-        f, orders, groups = x.groups
-        assert x.local is None and orders == params.r
-        assert any(groups) and all(groups.values())
-        for rest, cells in groups.items():
-            assert type(rest) is GroupElement and (not rest or rest[0][0] != f)
-            assert all(cells.values())
-    elif x.local:
-        f, r, cells = x.local
-        assert r == params.r[f - 1] and all(cells.values())
-    else:
-        assert all(built_terms(x).values())
-
-
-def rho_of_form(rho, x):
-    """rho(x) read off the form x is held in, each cell its syllable put in
-    front of its suffix, so that it does not rest on building terms."""
-    if not (x.groups or x.local):
-        return rho.ring(x)
-    f, orders, groups = x.groups or (*x.local[:2], {IDENTITY: x.local[2]})
-    stride = 2 * (orders[f - 1] if x.groups else orders)
-    out = rho.zero
-    for rest, cells in groups.items():
-        for cell, c in cells.items():
-            image = rho.mul(rho.syllable(f, cell % stride, cell // stride), rho.key(rest))
-            out = rho.add(out, tuple(c * v % rho.p for v in image))
-    return out
 
 
 def local_part(y, factor):
@@ -100,14 +67,15 @@ def test_grouped_products_sums_and_equality(operands, data):
         assert z.terms == expected and z.is_zero == (not expected), name
     assert entry_state([p, q]) == snapshot  # sums leave their operands alone
     # Cancellation: a grouped product less itself is the dict zero, and
-    # what is left of the suffix () alone is in cell form.
+    # what is left of the suffix () alone is on cells.
     zero = p - ring_mul(x, y, params)
-    assert zero.is_zero and (zero.local is None or not p.groups) and zero.groups is None
+    assert_canonical(zero, params)
+    assert zero.is_zero and zero.groups is None
     rest = ring_mul(x, RingElement(plain_sum(y.terms, local_part(y, f).terms, -1)), params)
     kept = p - rest
     assert_canonical(kept, params)
     if p.groups:
-        assert kept.groups is None and (kept.local is not None or kept.is_zero)
+        assert one_factor(kept) or kept.is_zero and kept.groups is None
     assert kept == ring_mul(x, local_part(y, f), params)
     assert kept.terms == reference_mul(x.terms, local_part(y, f).terms, params)
     # Equality as the groups stand, against dict copies, in both orders.
@@ -128,10 +96,10 @@ def test_grouped_products_sums_and_equality(operands, data):
 
 
 def test_grouped_sums_with_other_forms():
-    # A grouped Fox column meets cell form of its own factor (merged at the
-    # suffix ()), an element that leaves only its suffix () (cell form),
-    # cell form of another factor and a dict-form element (on terms), and a
-    # grouped element under other orders (on terms).
+    # A grouped Fox column meets an element on cells of its own factor
+    # (merged at the suffix ()), an element that leaves only its suffix ()
+    # (on cells), one on cells of another factor and a dict-form element
+    # (on terms), and a grouped element under other orders (on terms).
     rng = random.Random(67)
     params = PresentationParams((3, 5, 7))
     other = PresentationParams((3, 5, 11))
@@ -139,7 +107,7 @@ def test_grouped_sums_with_other_forms():
     forms = set()
     for _ in range(300):
         w = random_word(rng, params.n)
-        col = next((c for c in starred_fox_row(w, params) if c.groups), None)
+        col = next((c for c in starred_fox_row(w, params) if c.groups and not one_factor(c)), None)
         if col is None:
             continue
         f = col.groups[0]
@@ -150,7 +118,7 @@ def test_grouped_sums_with_other_forms():
             ring_mul(norm_element(f, params), col, params),
             torsion_term(g, 2, params) + free_term(g, 1, params),
             random_ring(rng, params),
-            next((c for c in starred_fox_row(w, other) if c.groups), col),
+            next((c for c in starred_fox_row(w, other) if c.groups and not one_factor(c)), col),
             RingElement({}),
         )
         for mate in mates:
@@ -161,7 +129,7 @@ def test_grouped_sums_with_other_forms():
                     expected = plain_sum(a.terms, b.terms, sign)
                     assert z.terms == expected
                     assert rho_of_form(rho, z) == rho.ring(RingElement(expected))
-                    forms.add("grouped" if z.groups else "cell" if z.local else "dict")
+                    forms.add("cell" if one_factor(z) else "grouped" if z.groups else "dict")
         assert col == RingElement(dict(col.terms)) and col != col + one()
     assert forms == {"grouped", "cell", "dict"}
 
@@ -179,9 +147,42 @@ def test_group_that_vanishes_is_dropped():
     assert_canonical(product, p)
     assert list(product.groups[2]) == [s]
     vanished = ring_mul(shear, norm_t, p)
-    assert vanished.is_zero and vanished.local is None and vanished.groups is None
-    # What is left at the suffix () is cell form, and nothing left is the dict zero.
-    local = ring_mul(shear, RingElement({s: 1}) + torsion_term(1, 2, p), p)
-    kept = local - product
-    assert kept.local is not None and kept == ring_mul(shear, torsion_term(1, 2, p), p)
-    assert (product - product).local is None and (product - product).groups is None
+    assert_canonical(vanished, p)
+    assert vanished.is_zero and vanished.groups is None
+    # What is left at the suffix () is on cells, and nothing left is the dict zero.
+    both = ring_mul(shear, RingElement({s: 1}) + torsion_term(1, 2, p), p)
+    kept = both - product
+    assert one_factor(kept) and kept == ring_mul(shear, torsion_term(1, 2, p), p)
+    assert_canonical(product - product, p)
+    assert (product - product).is_zero and (product - product).groups is None
+
+
+def test_every_zero_is_the_dict_zero():
+    # Multiples by 0 and sums that cancel, of elements on cells, of grouped
+    # elements and of dict-form ones, are the dict zero: no empty cells and
+    # no empty groups.
+    p = PresentationParams((5, 3))
+    elements = (
+        torsion_term(1, 1, p),
+        norm_element(2, p) - free_term(2, -4, p),
+        parse_ring("a1 a2 + 2*b1 a2^2 - e", p),
+        ring_mul(one() - torsion_term(1, 1, p), parse_ring("a2 b1 - 3*b2", p), p),
+        parse_ring("3*e", p),
+        RingElement({gmul(torsion_power(1, 2, p), free_power(2, 1, p), p): 4}),
+    )
+    for x in elements:
+        assert_canonical(x, p)
+        copy = RingElement(dict(x.terms))
+        for z in (
+            0 * x,
+            x - x,
+            x + -1 * x,
+            -x + x,
+            x - copy,
+            copy - x,
+            ring_sum(1 * x, x, -1, in_place=True),
+            ring_mul(x, zero(), p),
+            ring_mul(0 * x, x, p),
+        ):
+            assert_canonical(z, p)
+            assert z.is_zero and z.groups is None and z == zero()

@@ -18,7 +18,9 @@ from relcert.groupring import (
     _unpack,
     check_cyclic_identities,
     free_term,
+    from_groups,
     from_terms,
+    groups_at,
     norm_element,
     one,
     parse_ring,
@@ -40,6 +42,7 @@ from relcert.normalform import (
     project,
     torsion_power,
 )
+from forms import one_factor
 from representation import rho_for
 from test_normalform import canonical_key
 from test_parse_fuzz import GENUINE, PARAMS, grammar_text
@@ -557,7 +560,7 @@ def test_cancelled_key_is_dropped():
 
 def cells(x, r):
     """The cells m * 2r + k of x, an element of one factor's subring laid out
-    for order r (see _factor_cells)."""
+    for order r (see groups_at)."""
     return {
         (g.syllables[0][2] * 2 * r + g.syllables[0][1] if g.syllables else 0): c
         for g, c in x.terms.items()
@@ -938,8 +941,9 @@ MEMO_PARAMS = [
 
 @st.composite
 def memo_elements(draw):
-    """An element in dict, cell or grouped form, or zero in dict or cell
-    form, with negative and multi-digit coefficients where it has any."""
+    """An element in dict form, grouped with suffixes other than (), or
+    grouped with the suffix () alone (on cells), or zero, with negative and
+    multi-digit coefficients where it has any."""
     params = draw(st.sampled_from(MEMO_PARAMS))
     factor = draw(st.integers(1, params.n))
     form = draw(st.sampled_from(["dict", "cell", "grouped", "zero"]))
@@ -948,13 +952,13 @@ def memo_elements(draw):
     if form == "grouped":
         rng = random.Random(draw(st.integers(0, 2**32)))
         row = starred_fox_row(random_word(rng, params.n, max_len=8), params)
-        grouped = [col for col in row if col.groups]
+        grouped = [col for col in row if col.groups and not one_factor(col)]
         return draw(st.sampled_from(grouped)) if grouped else row[0]
     if form == "dict":
         return draw(syllable_elements(params, max_terms=8))
     x = draw(factor_elements(params, factor, params.order(factor), max_terms=12))
-    x = 0 * torsion_term(factor, 0, params) + x
-    assert x.local is not None
+    x = from_groups(factor, params.r, groups_at(x, factor, params.r))
+    assert one_factor(x) or x.is_zero
     return x
 
 
@@ -971,6 +975,6 @@ def test_ring_to_text_memo_matches_plain(elements):
 def test_ring_to_text_memo_keeps_orders_apart():
     memo = {}
     for r, spelled in ((3, "-7*b1^2"), (5, "-7*a1^2 b1"), (3, "-7*b1^2")):
-        x = RingElement(None, (1, r, {12: -7}))
+        x = from_groups(1, (r,), {IDENTITY: {12: -7}})
         assert ring_to_text(x, memo) == spelled == reference_ring_to_text(x)
-    assert ring_to_text(RingElement(None, (1, 5, {0: 10, -10: -1})), memo) == "10*e - b1^-1"
+    assert ring_to_text(from_groups(1, (5,), {IDENTITY: {0: 10, -10: -1}}), memo) == "10*e - b1^-1"
