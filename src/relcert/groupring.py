@@ -12,9 +12,10 @@ of suffix s holds the coefficient of a_f^k b_f^m s, and no suffix starts
 in f.  An element of f's commutative subring Z[C_r x Z] =
 Z[a, b^-1, b]/(a^r - 1) is the case of the one suffix ().  The builders,
 starred Fox columns, the products of _split_mul and parse_ring, but for a
-multiple of the identity, give grouped form.  Sums and equality of a
-grouped operand with one that groups_at reads at its factor and orders
-stay on groups.  Groups are used as they stand only under the orders they
+multiple of the identity, give grouped form; parse_ring groups a text at
+the factor that leads its last key.  Sums and equality of a grouped
+operand with one that groups_at reads at its factor and orders stay on
+groups.  Groups are used as they stand only under the orders they
 were built with, since those orders reduced their cells and suffixes.
 Terms are built when read.
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from collections import Counter
 from operator import add
 
 from .errors import ParseError
@@ -46,7 +46,6 @@ from .freewords import PresentationParams, parse_word, scan_int
 from .normalform import (
     IDENTITY,
     GroupElement,
-    _append_syllable,
     check_reduced,
     element_to_text,
     gmul,
@@ -508,9 +507,9 @@ def parse_ring(
     unless it immediately follows '^'.
 
     One _TERM scan splits the terms.  A word that is two words read before,
-    split at its last space, is their product.  A coefficient _TERM does not
-    take is read by scan_int, a word _read_word refuses by parse_word and
-    project, which name the fault and its column.  `words`, word text to
+    split at its last space, is their product; any other new word is read
+    by parse_word and project, and a coefficient _TERM does not take by
+    scan_int, which name the fault and its column.  `words`, word text to
     element, may serve every text read with the same params, and no others."""
     s = text
     size = len(s)
@@ -558,11 +557,6 @@ def parse_ring(
                 g = gmul(left, right, params)
             else:
                 try:
-                    g = _read_word(word, params)
-                except ValueError:  # a digit run past int()'s 4300-digit limit
-                    g = None
-            if g is None:
-                try:
                     g = project(parse_word(word, params.n), params)
                 except ParseError as exc:  # the word ends where group 2 does
                     column = term.end(2) - len(word) + exc.column
@@ -577,12 +571,14 @@ def parse_ring(
             break
         sign = 1 if end == "+" else -1
     # The keys are reduced under params: group them at the factor that leads
-    # the most, where products meet them.  Any factor gives the same value.
-    leads = Counter(g[0][0] for g in acc if g)
-    if not leads:  # zero, or a multiple of the identity
-        return RingElement(acc)
-    factor = leads.most_common(1)[0][0]
-    return from_groups(factor, params.r, _split(acc, factor, params.r[factor - 1]))
+    # the last key that is not the identity.  Canonical text lists keys by
+    # syllable count, so that is where products meet them; any factor gives
+    # the same value.
+    for g in reversed(acc):
+        if g:
+            factor = g[0][0]
+            return from_groups(factor, params.r, _split(acc, factor, params.r[factor - 1]))
+    return RingElement(acc)  # zero, or a multiple of the identity
 
 
 # One term: whitespace, a coefficient of ASCII digits with its '*' right
@@ -593,31 +589,3 @@ def parse_ring(
 # '+' or '-', so the pattern matches at every position on its first,
 # greedy try and never backtracks.
 _TERM = re.compile(r"\s*(?:([0-9]+)\*)?([^+\-^]*(?:\^-?[^+\-^]*)*)([+-]|\Z)")
-# A word _read_word takes: separators (whitespace and '*') around 'e' or
-# around letters a<i>, b<i> with an optional exponent '^-<k>' or '^<k>',
-# every digit ASCII.  Each letter takes the separators after it, which no
-# letter starts with.
-_WORD = re.compile(r"[\s*]*(?:e[\s*]*|(?:[ab][0-9]+(?:\^-?[0-9]+)?[\s*]*)+)")
-_LETTER = re.compile(r"([ab])([0-9]+)(?:\^(-?[0-9]+))?")
-
-
-def _read_word(word: str, params: PresentationParams) -> GroupElement | None:
-    """The normal form of word, as parse_word and project give it, or None
-    when _WORD refuses word or an index lies outside 1..n.  int() raises
-    ValueError on a digit run past 4300 digits."""
-    if _WORD.fullmatch(word) is None:
-        return None
-    r = params.r
-    n = len(r)
-    stack: list[tuple[int, int, int]] = []
-    for kind, index, exp in _LETTER.findall(word):
-        i = int(index)
-        if not 0 < i <= n:
-            return None
-        ri = r[i - 1]
-        e = int(exp) if exp else 1
-        if kind == "a":
-            _append_syllable(stack, i, e % ri, 0, ri)
-        else:
-            _append_syllable(stack, i, 0, e, ri)
-    return GroupElement(stack)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -422,6 +423,38 @@ def test_mu_text_parses_grouped_where_products_meet_it(orders):
         expected = reference_parse_ring(text, params)
         assert x == expected and x.terms == expected.terms
         assert rho.ring(x) == rho.text(text)
+
+
+@pytest.mark.parametrize("orders", [(2, 3, 5, 7), (5, 7, 9, 11, 13), (31, 37, 41), PRIMES8])
+def test_parse_groups_at_the_factor_that_leads_the_most_keys(orders):
+    # parse_ring groups a text at the factor that leads its last key.  On
+    # every text of a certificate that is also the factor that leads the
+    # most keys, so the products meet the groups where they stand.
+    params = PresentationParams(orders)
+    obj = json.loads(certificate_bytes(build_certificate(params)))
+    for text, x in site_texts(obj, certificate_from_json(obj)):
+        leads = Counter(g[0][0] for g in x.terms if g)
+        if leads:
+            assert x.groups[:2] == (leads.most_common(1)[0][0], params.r), text
+        else:
+            assert x.groups is None
+
+
+def test_check_cert_reads_each_word_once(monkeypatch):
+    # parse_ring reads a word text parse_word's way only when the memo does
+    # not hold it and it is not two words read before.  The eight-prime
+    # certificate has 155 such words.
+    obj = json.loads(certificate_bytes(build_certificate(PresentationParams(PRIMES8))))
+    calls = []
+    original = groupring.parse_word
+
+    def counted(text, n=None):
+        calls.append(text)
+        return original(text, n)
+
+    monkeypatch.setattr(groupring, "parse_word", counted)
+    assert check_certificate_json(obj).accepted
+    assert len(set(calls)) == len(calls) <= 155
 
 
 def test_check_cert_does_not_recheck_parsed_keys(monkeypatch):
