@@ -26,12 +26,14 @@ suffixes s that do not start in f, each v_s in f's subring.  Then
 x y = sum_s (x v_s) s, and keys of different groups never meet.  Each
 x v_s is a product inside one factor's subring on plain integer cells: by
 Kronecker substitution, one big-integer product folded by a^r = 1 while
-unpacking, when the operands' shape says it pays (_packs), and by a cell
-convolution otherwise.  A product of two elements of one subring is the
-case of a single group with suffix ().  Any other product, one-factor
-operand on the right included, runs the plain convolution, one gmul per
-pair of keys (_convolve).  No command makes one: every one-factor
-coefficient is written as the left operand of its product.
+unpacking, when the operands' shape says it pays (_packs, which hands the
+kernel the rows and slot width it measured), and otherwise by a cell
+convolution with the operand of fewer cells outside.  A product of two
+elements of one subring is the case of a single group with suffix ().
+Any other product, one-factor operand on the right included, runs the
+plain convolution, one gmul per pair of keys (_convolve).  No command
+makes one: every one-factor coefficient is written as the left operand of
+its product.
 """
 
 from __future__ import annotations
@@ -264,18 +266,21 @@ def _split_mul(factor: int, cells, other: RingElement, params: PresentationParam
     product key is h' with at most one syllable of f put in front of it,
     and keys of different groups never meet.  Groups that groups_at reads
     off `other` under params' orders are taken as they stand; other keys
-    are range-checked and split (_split).  The product keeps its groups
-    (from_groups): no key is built until read."""
+    are split (_split), range-checked first unless `other` is grouped
+    under params' orders, which reduced its keys.  The product keeps its
+    groups (from_groups): no key is built until read."""
     r = params.r[factor - 1]
     groups = groups_at(other, factor, params.r)
     if groups is None:
-        for h in other.terms:
-            check_reduced(h, params)
+        if other.groups is None or other.groups[1] != params.r:
+            for h in other.terms:
+                check_reduced(h, params)
         groups = _split(other.terms, factor, r)
     out = {}
     for rest, group in groups.items():
         # x v_rest, folded by a^r = 1, with no zero cells.
-        prod = (_kronecker_mul if _packs(cells, group, r) else _cell_mul)(cells, group, r)
+        layout = _packs(cells, group, r)
+        prod = _kronecker_mul(cells, group, r, layout) if layout else _cell_mul(cells, group, r)
         if prod:
             out[rest] = prod
     return from_groups(factor, params.r, out)
@@ -305,13 +310,16 @@ def _split(terms: dict[GroupElement, int], factor: int, r: int) -> dict:
 
 def _cell_mul(xc, yc, r: int) -> dict[int, int]:
     """x * y on the cells of one factor's subring Z[a, b^-1, b]/(a^r - 1)
-    by pairwise convolution, folding each product cell by a^r = 1 as it
+    by pairwise convolution, the operand with fewer cells outside (the
+    subring is commutative), folding each product cell by a^r = 1 as it
     goes; cancelled cells are dropped at the end."""
     stride = 2 * r
     prod: dict[int, int] = {}
     get = prod.get
-    for b, cb in yc.items():
-        for a, ca in xc.items():
+    if len(xc) > len(yc):
+        xc, yc = yc, xc
+    for a, ca in xc.items():
+        for b, cb in yc.items():
             s = a + b
             if s % stride >= r:
                 s -= r
@@ -319,9 +327,10 @@ def _cell_mul(xc, yc, r: int) -> dict[int, int]:
     return {s: c for s, c in prod.items() if c}
 
 
-def _packs(xc, yc, r: int) -> bool:
-    """Whether _kronecker_mul is estimated to cost less than _cell_mul for
-    x * y, a function of the operands' shape only.
+def _packs(xc, yc, r: int):
+    """(x_lo, x_hi, y_lo, y_hi, width), each operand's lowest and highest row
+    and the slot width, when _kronecker_mul is estimated to cost less than
+    _cell_mul for x * y, a function of the operands' shape only; else None.
 
     In units of one convolution pair, packing costs a step per term,
     folding a step per slot of the folded product (r per free exponent),
@@ -329,16 +338,19 @@ def _packs(xc, yc, r: int) -> bool:
     n^1.585 / _PAIR_DIGIT_STEPS (Karatsuba)."""
     nx, ny = len(xc), len(yc)
     if nx * ny <= nx + ny + r:  # fewer pairs than a single row of slots
-        return False
+        return None
     stride = 2 * r
-    rows = max(xc) // stride - min(xc) // stride + max(yc) // stride - min(yc) // stride + 1
-    slots = rows * r
+    x_lo, x_hi = min(xc) // stride, max(xc) // stride
+    y_lo, y_hi = min(yc) // stride, max(yc) // stride
+    slots = (x_hi - x_lo + y_hi - y_lo + 1) * r
     if slots >= nx * ny:
         # Packing cannot pay, and far-apart free exponents would overflow
         # the float power below.
-        return False
-    digits = slots * 8 * _slot_width(xc, yc) // sys.int_info.bits_per_digit
-    return nx + ny + slots + digits**1.585 / _PAIR_DIGIT_STEPS < nx * ny
+        return None
+    width = _slot_width(xc, yc)
+    digits = slots * 8 * width // sys.int_info.bits_per_digit
+    cost = nx + ny + slots + digits**1.585 / _PAIR_DIGIT_STEPS
+    return (x_lo, x_hi, y_lo, y_hi, width) if cost < nx * ny else None
 
 
 # One convolution pair takes about as long as this many digit steps of
@@ -349,29 +361,26 @@ def _packs(xc, yc, r: int) -> bool:
 _PAIR_DIGIT_STEPS = 400
 
 
-def _kronecker_mul(xc, yc, r: int) -> dict[int, int]:
-    """x * y on cells by Kronecker substitution (a -> x, b -> y).
+def _kronecker_mul(xc, yc, r: int, layout) -> dict[int, int]:
+    """x * y on cells by Kronecker substitution (a -> x, b -> y), laid out by _packs.
 
     Cell m * 2r + k goes to slot (m - m_lo) * 2r + k of one integer, so one
     big-integer product is the whole convolution: a product slot holds the
     coefficient of a^k b^m for k < 2r - 1, and folding slot k + r onto k
     applies a^r = 1."""
-    stride = 2 * r
-    x_lo, x_hi = min(xc) // stride, max(xc) // stride
-    y_lo, y_hi = min(yc) // stride, max(yc) // stride
-    width = _slot_width(xc, yc)
+    x_lo, x_hi, y_lo, y_hi, width = layout
     if width <= 8:  # round up to a machine width: 1, 2, 4 or 8 bytes
         width = 1 << (width - 1).bit_length()
-    rows = x_hi - x_lo + y_hi - y_lo + 1
-    slots = _unpack(
-        _pack(xc, x_lo * stride, (x_hi - x_lo + 1) * stride, width)
-        * _pack(yc, y_lo * stride, (y_hi - y_lo + 1) * stride, width),
-        rows * stride,
-        width,
-    )
+    stride = 2 * r
+    nx, ny = (x_hi - x_lo + 1) * stride, (y_hi - y_lo + 1) * stride
+    nslots = nx + ny - stride
+    top = _top_bits(nslots, width)  # built once; an operand's mask is its top slots
+    px = _pack(xc, x_lo * stride, nx, width, top >> 8 * width * (nslots - nx))
+    py = _pack(yc, y_lo * stride, ny, width, top >> 8 * width * (nslots - ny))
+    slots = _unpack(px * py, nslots, width, top)
     out: dict[int, int] = {}
     origin = (x_lo + y_lo) * stride
-    for base in range(0, rows * stride, stride):
+    for base in range(0, nslots, stride):
         folded = map(add, slots[base:base + r], slots[base + r:base + stride])
         for k, c in enumerate(folded):
             if c:
@@ -396,8 +405,9 @@ def _top_bits(nslots: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * nslots, "little")
 
 
-def _pack(cells, origin: int, nslots: int, width: int) -> int:
-    """The sum of c * 2^(8 * width * (s - origin)) over cells {s: c}.
+def _pack(cells, origin: int, nslots: int, width: int, top: int) -> int:
+    """The sum of c * 2^(8 * width * (s - origin)) over cells {s: c}, top
+    being _top_bits(nslots, width).
 
     The slots are first written in two's complement, through an array of
     machine integers when width is a machine width (_TYPECODES); flipping
@@ -415,13 +425,11 @@ def _pack(cells, origin: int, nslots: int, width: int) -> int:
             raw[s - origin] = c
         if sys.byteorder == "big":
             raw.byteswap()
-    top = _top_bits(nslots, width)
     return (int.from_bytes(raw, "little") ^ top) - top
 
 
-def _unpack(value: int, nslots: int, width: int):
+def _unpack(value: int, nslots: int, width: int, top: int):
     """The signed slots of value, inverse of _pack, as a sequence of ints."""
-    top = _top_bits(nslots, width)
     raw = ((value + top) ^ top).to_bytes(nslots * width, "little")
     typecode = _TYPECODES.get(width)
     if typecode is None:

@@ -459,9 +459,10 @@ def test_check_cert_reads_each_word_once(monkeypatch):
 
 def test_check_cert_does_not_recheck_parsed_keys(monkeypatch):
     # Parsed text is grouped under the orders it was read with, so the
-    # products that meet it take its groups as they stand.  Reading the
-    # two-factor mu text as a dict made _split_mul range-check its keys
-    # again: 4,508 calls for the eight primes.  At most a tenth are left.
+    # products that meet it take its groups as they stand, or split them
+    # at another factor without a range check: those orders reduced its
+    # keys.  Reading the two-factor mu text as a dict made _split_mul
+    # range-check its keys again: 4,508 calls for the eight primes.
     obj = json.loads(certificate_bytes(build_certificate(PresentationParams(PRIMES8))))
     calls = []
     original = groupring.check_reduced
@@ -473,7 +474,34 @@ def test_check_cert_does_not_recheck_parsed_keys(monkeypatch):
 
     monkeypatch.setattr(groupring, "check_reduced", counted)
     assert check_certificate_json(obj).accepted
-    assert len(calls) <= 450
+    assert len(calls) == 0
+
+
+def test_kernel_products_scan_widths_once(monkeypatch):
+    # _packs hands the layout it measured to _kronecker_mul, which takes
+    # the slot width from it: _slot_width runs at most once per _packs
+    # call, and never from the packed kernel.
+    calls = Counter()  # (callee, caller): count
+
+    def count(name):
+        original = getattr(groupring, name)
+
+        def counted(*args):
+            calls[name, sys._getframe(1).f_code.co_name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(groupring, name, counted)
+
+    for name in ("_slot_width", "_packs", "_kronecker_mul"):
+        count(name)
+    for r in (PRIMES8, (509,)):
+        obj = json.loads(certificate_bytes(build_certificate(PresentationParams(r))))
+        calls.clear()
+        assert check_certificate_json(obj).accepted
+        assert {caller for name, caller in calls if name == "_slot_width"} <= {"_packs"}
+        assert calls["_slot_width", "_packs"] <= calls["_packs", "_split_mul"]
+        if r == PRIMES8:  # 369 of its 967 weighed products are packed
+            assert calls["_kronecker_mul", "_split_mul"]
 
 
 def parsed_elements(cert):

@@ -15,6 +15,7 @@ from relcert.groupring import (
     _pack,
     _packs,
     _slot_width,
+    _top_bits,
     _unpack,
     check_cyclic_identities,
     free_term,
@@ -567,6 +568,15 @@ def cells(x, r):
     }
 
 
+def layout(xc, yc, r):
+    """The layout _packs hands _kronecker_mul, built for any shape, also
+    those _packs declines: each operand's lowest and highest row m of its
+    cells m * 2r + k, and the slot width."""
+    stride = 2 * r
+    rows = (min(xc) // stride, max(xc) // stride, min(yc) // stride, max(yc) // stride)
+    return (*rows, _slot_width(xc, yc))
+
+
 def from_cells(cells, factor, r):
     """The element of factor `factor`'s subring with the given cells, cells
     with coefficient 0 dropped."""
@@ -590,8 +600,26 @@ def test_packed_matches_sparse(data, r, second):
     expected = sparse(x, y, params)
     assert ring_mul(x, y, params) == expected
     if not x.is_zero and not y.is_zero:
-        for kernel in (_kronecker_mul, _cell_mul):
-            assert from_cells(kernel(cells(x, r), cells(y, r), r), factor, r) == expected
+        xc, yc = cells(x, r), cells(y, r)
+        packed = _packs(xc, yc, r)
+        assert packed is None or packed == layout(xc, yc, r)
+        for prod in (_kronecker_mul(xc, yc, r, layout(xc, yc, r)), _cell_mul(xc, yc, r)):
+            assert from_cells(prod, factor, r) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(2, 1009), st.booleans(), st.integers(1, 40), st.integers(1, 40))
+def test_cell_mul_commutes(data, r, second, x_terms, y_terms):
+    # _cell_mul runs the operand with fewer cells outside.  The two sizes
+    # are drawn independently, so either operand is the shorter one.
+    params, factor = factor_params(r, second)
+    x = data.draw(factor_elements(params, factor, r, max_terms=x_terms))
+    y = data.draw(factor_elements(params, factor, r, max_terms=y_terms))
+    xc, yc = cells(x, r), cells(y, r)
+    expected = sparse(x, y, params)
+    xy = _cell_mul(xc, yc, r)
+    assert xy == _cell_mul(yc, xc, r)
+    assert from_cells(xy, factor, r) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -606,7 +634,8 @@ def test_packed_exact_cancellation(data, r, second):
     assert sparse(shear, norm, params).is_zero
     assert ring_mul(shear, norm, params).is_zero
     if not shear.is_zero:
-        assert _kronecker_mul(cells(shear, r), cells(norm, r), r) == {}
+        xc, yc = cells(shear, r), cells(norm, r)
+        assert _kronecker_mul(xc, yc, r, layout(xc, yc, r)) == {}
 
 
 # Slot widths in bytes as _slot_width gives them: the machine widths 1, 2,
@@ -623,9 +652,21 @@ def test_pack_round_trips_at_slot_extremes(width):
     values += [rng.randrange(-top, top) for _ in range(40)] + [-top, 0]
     origin = 7
     cells = {origin + s: v for s, v in enumerate(values) if v}
-    packed = _pack(cells, origin, len(values), width)
+    top = _top_bits(len(values), width)
+    packed = _pack(cells, origin, len(values), width, top)
     assert packed == sum(v << (8 * width * s) for s, v in enumerate(values))
-    assert list(_unpack(packed, len(values), width)) == values
+    assert list(_unpack(packed, len(values), width, top)) == values
+
+
+@pytest.mark.parametrize("width", SLOT_WIDTHS)
+def test_operand_masks_cut_from_the_product_mask(width):
+    # _kronecker_mul builds the top-bit mask once, at the product's slot
+    # count, and takes each operand's mask as its top slots.
+    for longer in (1, 2, 7, 52, 3054):
+        top = _top_bits(longer, width)
+        for nslots in range(1, min(longer, 9) + 1):
+            assert top >> 8 * width * (longer - nslots) == _top_bits(nslots, width)
+        assert top >> 8 * width * (longer // 2) == _top_bits(longer - longer // 2, width)
 
 
 @settings(max_examples=120, deadline=None)
@@ -667,8 +708,8 @@ def test_kronecker_slots_at_width_extremes(data, r, second, width):
         assert _slot_width(xc, yc) == width
         expected = sparse(x, y, params)
         assert set(expected.terms.values()) == coefficients
-        for kernel in (_kronecker_mul, _cell_mul):
-            assert from_cells(kernel(xc, yc, r), factor, r) == expected
+        for prod in (_kronecker_mul(xc, yc, r, layout(xc, yc, r)), _cell_mul(xc, yc, r)):
+            assert from_cells(prod, factor, r) == expected
     # The cancelled slot: g h b has coefficient c - c.
     assert len(sparse(shear, pair, params).terms) == 2
 

@@ -44,6 +44,7 @@ from test_groupring import (
     factor_elements,
     factor_params,
     from_cells,
+    layout,
     random_ring,
     split_operands,
     syllable_elements,
@@ -132,8 +133,9 @@ def test_rho_one_factor_products(data, r, second):
     rho = rho_for(params)
     assert_multiplies(rho, x, y, ring_mul(x, y, params))
     if r <= 64 and not x.is_zero and not y.is_zero:
-        for kernel in (_kronecker_mul, _cell_mul):
-            assert_multiplies(rho, x, y, from_cells(kernel(cells(x, r), cells(y, r), r), factor, r))
+        xc, yc = cells(x, r), cells(y, r)
+        for prod in (_kronecker_mul(xc, yc, r, layout(xc, yc, r)), _cell_mul(xc, yc, r)):
+            assert_multiplies(rho, x, y, from_cells(prod, factor, r))
 
 
 @settings(max_examples=50, deadline=None)
