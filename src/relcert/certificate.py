@@ -466,7 +466,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_bytes(cert: Certificate) -> bytes:
-    """Deterministic file encoding: same certificate, same bytes."""
+    """Deterministic file encoding, byte for byte what `relcert certificate` writes."""
     text = json.dumps(certificate_to_json(cert), indent=2, sort_keys=True)
     return (text + "\n").encode("utf-8")
 
@@ -619,7 +619,7 @@ def build_chain_export(params: PresentationParams) -> ChainExport:
 def chain_export_to_json(export: ChainExport) -> dict:
     n = export.params.n
     render = _renderer()
-    obj = {
+    return {
         "version": CERTIFICATE_VERSION,
         "r": list(export.params.r),
         "euler_characteristic": export.euler,
@@ -632,4 +632,3 @@ def chain_export_to_json(export: ChainExport) -> dict:
         "P": _matrix_texts(export.p, render) if export.p is not None else None,
         "Q": _matrix_texts(export.q, render) if export.q is not None else None,
     }
-    return obj

@@ -30,7 +30,7 @@ from .certificate import (
     NOT_REDUCED,
     build_certificate,
     build_chain_export,
-    certificate_bytes,
+    certificate_to_json,
     chain_export_to_json,
     check_certificate,
     check_certificate_json,
@@ -162,14 +162,15 @@ def cmd_verify(params: PresentationParams, seed: int, fmt: str) -> int:
     return 0 if passed else 1
 
 
-def _write_output(data: bytes, out: str | None) -> int:
-    """Exit code of writing data to out (stdout for None or '-')."""
+def _write_output(tree: dict, out: str | None) -> int:
+    """Exit code of writing tree as JSON text to out (stdout for None or '-')."""
+    text = json.dumps(tree, indent=2, sort_keys=True) + "\n"
     if out is None or out == "-":
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(text)
         return 0
     try:
-        with open(out, "wb") as handle:
-            handle.write(data)
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 2
@@ -179,7 +180,9 @@ def _write_output(data: bytes, out: str | None) -> int:
 def cmd_certificate(params: PresentationParams, out: str | None) -> int:
     cert = build_certificate(params)
     require_accepted(check_certificate(cert))
-    return _write_output(certificate_bytes(cert), out)
+    tree = certificate_to_json(cert)
+    del cert  # only the tree and its one text are alive while writing
+    return _write_output(tree, out)
 
 
 def _json_int(literal: str) -> int:
@@ -218,9 +221,7 @@ def cmd_check_cert(path: str) -> int:
 
 
 def cmd_complex(params: PresentationParams, out: str | None) -> int:
-    export = build_chain_export(params)
-    text = json.dumps(chain_export_to_json(export), indent=2, sort_keys=True) + "\n"
-    return _write_output(text.encode("utf-8"), out)
+    return _write_output(chain_export_to_json(build_chain_export(params)), out)
 
 
 def cmd_normalize(word_text: str, params: PresentationParams) -> int:

@@ -1,8 +1,11 @@
+import gc
+import io
 import itertools
 import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +239,75 @@ def test_complex_single_factor(capsys):
     assert obj["euler_characteristic"] == 1
     assert obj["d3"] == []
     assert obj["P"] is None and obj["Q"] is None
+
+
+@pytest.mark.parametrize("orders", ["2,3,5", "7"])
+@pytest.mark.parametrize("command", ["certificate", "complex"])
+def test_document_bytes_same_on_every_target(command, orders, tmp_path, capsysbinary):
+    # One encoding: stdout, '--out -' and '--out <file>' receive the same bytes,
+    # and for a certificate they are certificate_bytes of the built certificate.
+    assert main([command, "--r", orders]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert stdout.startswith(b"{\n") and stdout.endswith(b"\n}\n")
+    assert main([command, "--r", orders, "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == stdout
+    path = tmp_path / "document.json"
+    assert main([command, "--r", orders, "--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert path.read_bytes() == stdout
+    if command == "certificate":
+        params = PresentationParams(tuple(int(v) for v in orders.split(",")))
+        assert stdout == certificate.certificate_bytes(certificate.build_certificate(params))
+
+
+def test_writer_holds_no_certificate_or_export(monkeypatch, capsys):
+    # The certificate or chain export is released before its tree is encoded,
+    # so the writer runs with only the tree (and then its text) alive.
+    built, alive = [], []
+    write_output = cli._write_output
+
+    def remember(build):
+        def spy(params):
+            obj = build(params)
+            built.append(id(obj))
+            return obj
+        return spy
+
+    def write(tree, out):
+        alive.append(any(id(o) == built[-1] for o in gc.get_objects()))
+        return write_output(tree, out)
+
+    monkeypatch.setattr(cli, "_write_output", write)
+    for name in ("build_certificate", "build_chain_export"):
+        monkeypatch.setattr(cli, name, remember(getattr(cli, name)))
+    assert main(["certificate", "--r", "2,3,5"]) == 0
+    assert main(["complex", "--r", "2,3,5"]) == 0
+    assert len(built) == 2 and alive == [False, False]
+
+
+PRIMES16 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+@pytest.mark.parametrize("target", ["stdout", "file"])
+def test_write_phase_holds_one_text(target, tmp_path, monkeypatch):
+    # Writing a built tree holds the encoder's chunks and the joined text, then
+    # that text and its UTF-8 bytes: about twice the document.  A second
+    # encoding or a bytes round trip makes three times.
+    tree = certificate.certificate_to_json(
+        certificate.build_certificate(PresentationParams(PRIMES16))
+    )
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    path = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        assert cli._write_output(tree, None if target == "stdout" else str(path)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(stdout.getvalue()) if target == "stdout" else path.stat().st_size
+    assert size > 3_000_000
+    assert peak <= 2.5 * size
 
 
 def test_normalize(capsys):
