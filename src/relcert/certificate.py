@@ -357,10 +357,11 @@ def check_certificate(cert: Certificate) -> CheckReport:
     """Independently re-check every identity a certificate claims.
 
     Re-derives nothing: the stored integers are tested by modular
-    arithmetic, the stored coefficient matrices by reconstructing both
-    relator-class families, the stored kernel elements by boundary
-    application, and the stored trace by replay.  Shares only the ring
-    kernel with build_certificate."""
+    arithmetic, the stored coefficient matrices by reconstructing the
+    commutator classes and reading the power classes off those sums,
+    sum_k X_k mu_ki = X_i - (sum_k X_k lambda_ki)(1 - a_i) + sum_k X_k Delta_ki,
+    the stored kernel elements by boundary application, and the stored
+    trace by replay.  Shares only the ring kernel with build_certificate."""
     params = cert.params
     n = params.n
     items: list[CheckItem] = []
@@ -392,13 +393,21 @@ def check_certificate(cert: Certificate) -> CheckReport:
     # power classes E_i.
     d2 = d2_matrix(params)
     gens = [module_generator(k, d2, params) for k in range(1, n + 2)]
-    for family, coeffs, classes, detail in (
-        ("D", cert.lam, d2[:n], "sum_k X_k lambda_ki equals the commutator class"),
-        ("E", cert.mu, d2[n:], "sum_k X_k mu_ki equals the power class"),
-    ):
-        for i, image in enumerate(classes, start=1):
-            got = _reconstruct(gens, [coeffs[k][i - 1] for k in range(n + 1)], params)
-            items.append(CheckItem(f"{family}_{i} reconstruction", got == image, detail))
+    lam_cols = [RingVector(row[i] for row in cert.lam) for i in range(n)]
+    got_d = [_reconstruct(gens, column, params) for column in lam_cols]
+    detail = "sum_k X_k lambda_ki equals the commutator class"
+    for i, got in enumerate(got_d, start=1):
+        items.append(CheckItem(f"D_{i} reconstruction", got == d2[i - 1], detail))
+    # The E sums as in the docstring; Delta_ki = mu_ki - [k = i] + lambda_ki (1 - a_i).
+    detail = "sum_k X_k mu_ki equals the power class"
+    for i, (column, got_di) in enumerate(zip(lam_cols, got_d), start=1):
+        shear = one() - torsion_term(i, 1, params)
+        mu_col = RingVector(row[i - 1] for row in cert.mu)
+        delta = mu_col - RingVector.unit(n + 1, i - 1) + column.act(shear, params)
+        got = gens[i - 1] - got_di.act(shear, params)
+        if not delta.is_zero:
+            got = got + _reconstruct(gens, delta, params)
+        items.append(CheckItem(f"E_{i} reconstruction", got == d2[n + i - 1], detail))
 
     for i, a in enumerate(cert.alpha, start=1):
         items.append(
@@ -465,10 +474,14 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+def document_text(tree: dict) -> str:
+    """The text of an output document: the one format every writer uses."""
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
 def certificate_bytes(cert: Certificate) -> bytes:
     """Deterministic file encoding, byte for byte what `relcert certificate` writes."""
-    text = json.dumps(certificate_to_json(cert), indent=2, sort_keys=True)
-    return (text + "\n").encode("utf-8")
+    return document_text(certificate_to_json(cert)).encode("utf-8")
 
 
 def _require(condition: bool, message: str):

@@ -34,6 +34,7 @@ from .certificate import (
     chain_export_to_json,
     check_certificate,
     check_certificate_json,
+    document_text,
     euler_characteristic,
     require_accepted,
 )
@@ -164,7 +165,7 @@ def cmd_verify(params: PresentationParams, seed: int, fmt: str) -> int:
 
 def _write_output(tree: dict, out: str | None) -> int:
     """Exit code of writing tree as JSON text to out (stdout for None or '-')."""
-    text = json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    text = document_text(tree)
     if out is None or out == "-":
         sys.stdout.write(text)
         return 0

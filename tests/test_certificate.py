@@ -628,6 +628,66 @@ def test_perturbed_lambda_names_reconstruction():
     assert "D_1 reconstruction" in report.failures
 
 
+def _full_sum_items(obj):
+    """The D and E reconstruction items as full sums judge them: each family
+    column summed over the n + 1 generators and compared with its d2 row."""
+    cert = certificate_from_json(obj)
+    params = cert.params
+    n = params.n
+    d2 = d2_matrix(params)
+    gens = [module_generator(k, d2, params) for k in range(1, n + 2)]
+    items = {}
+    for family, coeffs, offset, detail in (
+        ("D", cert.lam, 0, "sum_k X_k lambda_ki equals the commutator class"),
+        ("E", cert.mu, n, "sum_k X_k mu_ki equals the power class"),
+    ):
+        for i in range(1, n + 1):
+            got = certificate._reconstruct(gens, [row[i - 1] for row in coeffs], params)
+            name = f"{family}_{i} reconstruction"
+            items[name] = certificate.CheckItem(name, got == d2[offset + i - 1], detail)
+    return items
+
+
+def _residual_mutants(obj, params):
+    """Copies of obj whose E residual mu_ki - [k = i] + lambda_ki (1 - a_i)
+    is nonzero: a term added to one lambda or mu entry (each entry once, the
+    terms taken in turn), or two entries of a mu column swapped."""
+    n = params.n
+    terms = ["e", "a1", f"-b{n}"] + (["2*a1 b2"] if n >= 2 else [])
+    for f, field in enumerate(("lambda", "mu")):
+        for k in range(n + 1):
+            for i in range(n):
+                term = terms[(f + k + i) % len(terms)]
+                mutant = json.loads(json.dumps(obj))
+                text = mutant[field][k][i]
+                bumped = parse_ring(text, params) + parse_ring(term, params)
+                mutant[field][k][i] = ring_to_text(bumped)
+                yield f"{field}[{k}][{i}] + {term}", mutant
+    for i in range(n):
+        mutant = json.loads(json.dumps(obj))
+        column = mutant["mu"]
+        column[i][i], column[n][i] = column[n][i], column[i][i]
+        yield f"swap mu[{i}][{i}], mu[{n}][{i}]", mutant
+
+
+@pytest.mark.parametrize("orders", [(2, 3, 5), (5, 7, 9, 11, 13), (7,)])
+def test_e_items_match_full_sums_on_residual_mutants(orders):
+    """The checker reads each E_i off its D_i sum plus the residual's sum;
+    on mutants with a nonzero residual its item list is the one the full
+    E sums give, every other item as the checker made it."""
+    params = PresentationParams(orders)
+    base = json.loads(certificate_bytes(build_certificate(params)))
+    rejected = 0
+    for label, obj in _residual_mutants(base, params):
+        report = check_certificate_json(obj)
+        oracle = _full_sum_items(obj)
+        expected = tuple(oracle.get(item.name, item) for item in report.items)
+        assert report.items == expected, label
+        assert sum(name in oracle for name in report.failures) >= 1, label
+        rejected += not report.accepted
+    assert rejected  # the corpus is not vacuous
+
+
 def test_mutation_sensitivity_sample():
     rng = random.Random(71)
     base = json.loads(certificate_bytes(build_certificate(P23)))

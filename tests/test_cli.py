@@ -426,7 +426,25 @@ def test_verify_reconstructs_each_family_once(monkeypatch):
     monkeypatch.setattr(certificate, "_reconstruct", counting)
     params = PresentationParams((2, 3, 5))
     assert all(g.status == "pass" for g in run_verification(params, sample=5))
-    assert len(calls) == 2 * params.n  # D_i and E_i, each once
+    # D_i once each; every E_i is read off its D_i sum, as its residual is zero.
+    assert len(calls) == params.n
+
+
+def test_check_reconstructs_a_nonzero_residual_once(monkeypatch):
+    calls = []
+    reconstruct = certificate._reconstruct
+
+    def counting(*args):
+        calls.append(1)
+        return reconstruct(*args)
+
+    params = PresentationParams((2, 3, 5))
+    obj = json.loads(certificate.certificate_bytes(certificate.build_certificate(params)))
+    obj["mu"][0][0] += " + e"
+    monkeypatch.setattr(certificate, "_reconstruct", counting)
+    report = certificate.check_certificate_json(obj)
+    assert report.failures == ("E_1 reconstruction",)
+    assert len(calls) == params.n + 1  # the n D sums and E_1's residual
 
 
 def test_commands_make_no_plain_convolution(monkeypatch, tmp_path, capsys):
