@@ -6,7 +6,8 @@ file), complex (export the chain-level data), normalize (print the
 normal form of a word).
 
 Exit codes: 0 all checks passed, 1 a mathematical check was falsified or
-a certificate rejected, 2 usage or parse error.
+a certificate rejected, 2 usage or parse error, or output that could not
+be written (an --out file, or stdout: `error: cannot write stdout: ...`).
 
 A well-formed argv is parsed by hand (`_parse_plain`); help, usage errors
 and every other spelling go to the argparse parser, imported only then.
@@ -122,7 +123,7 @@ def run_verification(
     return groups
 
 
-def _print_verification(params, seed, groups, fmt: str, stream) -> bool:
+def _print_verification(params, seed, groups, fmt: str) -> bool:
     passed = all(g.status != FAIL for g in groups)
     if fmt == "json":
         obj = {
@@ -134,15 +135,15 @@ def _print_verification(params, seed, groups, fmt: str, stream) -> bool:
             ],
             "passed": passed,
         }
-        print(json.dumps(obj, indent=2), file=stream)
+        print(json.dumps(obj, indent=2))
         return passed
-    print(f"checking r = ({', '.join(str(v) for v in params.r)})", file=stream)
+    print(f"checking r = ({', '.join(str(v) for v in params.r)})")
     width = len(str(len(groups)))
     for pos, g in enumerate(groups, start=1):
         tag = {PASS: "PASS", FAIL: "FAIL", SKIP: "SKIP"}[g.status]
-        print(f"  [{pos:>{width}}/{len(groups)}] {tag}  {g.name}", file=stream)
+        print(f"  [{pos:>{width}}/{len(groups)}] {tag}  {g.name}")
         for detail in g.details:
-            print(f"        - {detail}", file=stream)
+            print(f"        - {detail}")
     counts = {
         "passed": sum(g.status == PASS for g in groups),
         "failed": sum(g.status == FAIL for g in groups),
@@ -151,15 +152,14 @@ def _print_verification(params, seed, groups, fmt: str, stream) -> bool:
     verdict = "PASS" if passed else "FAIL"
     print(
         f"result: {verdict} ({len(groups)} groups: {counts['passed']} passed, "
-        f"{counts['failed']} failed, {counts['skipped']} skipped)",
-        file=stream,
+        f"{counts['failed']} failed, {counts['skipped']} skipped)"
     )
     return passed
 
 
 def cmd_verify(params: PresentationParams, seed: int, fmt: str) -> int:
     groups = run_verification(params, seed)
-    passed = _print_verification(params, seed, groups, fmt, sys.stdout)
+    passed = _print_verification(params, seed, groups, fmt)
     return 0 if passed else 1
 
 
@@ -311,27 +311,52 @@ def _parse_plain(argv: list[str]) -> dict | None:
     return args
 
 
+def _run(args: dict) -> int:
+    if args["command"] == "check-cert":
+        return cmd_check_cert(args["path"])
+    params = _parse_r(args["r"])
+    if args["command"] == "verify":
+        return cmd_verify(params, args["seed"], args["format"])
+    if args["command"] == "certificate":
+        return cmd_certificate(params, args["out"])
+    if args["command"] == "complex":
+        return cmd_complex(params, args["out"])
+    return cmd_normalize(args["word"], params)
+
+
+def _drop_stdout() -> None:
+    """Point a stdout that failed at the null device, so that the flush at
+    exit finds nothing left to fail on (as the signal module's SIGPIPE note
+    advises).  A stdout with no file descriptor is left as it is."""
+    import os
+
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass
+    finally:
+        os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_plain(argv) or vars(_build_parser().parse_args(argv))
     try:
-        if args["command"] == "check-cert":
-            return cmd_check_cert(args["path"])
-        params = _parse_r(args["r"])
-        if args["command"] == "verify":
-            return cmd_verify(params, args["seed"], args["format"])
-        if args["command"] == "certificate":
-            return cmd_certificate(params, args["out"])
-        if args["command"] == "complex":
-            return cmd_complex(params, args["out"])
-        return cmd_normalize(args["word"], params)
+        code = _run(args)
+        sys.stdout.flush()  # a buffered stdout fails here, not at exit
+        return code
     except (ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"internal verification fault: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the commands report their own files, so this is stdout
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        _drop_stdout()
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcert import foxcomplex
 from relcert.errors import ParameterError
 from relcert.foxcomplex import RingMatrix, RingVector, apply, d2_matrix
 from relcert.freewords import PresentationParams
@@ -29,6 +28,7 @@ from relcert.groupring import (
 from relcert.relmodule import lifted_generator
 
 from forms import assert_canonical, built_terms, entry_state, one_factor, plain_sum
+from rebind import rebind
 from representation import rho_for
 from test_groupring import (
     assert_syllable_keys,
@@ -266,6 +266,6 @@ def test_apply_leaves_its_operands_unchanged(monkeypatch):
         out.terms
         return out
 
-    monkeypatch.setattr(foxcomplex, "ring_mul", traced)
+    rebind(monkeypatch, ring_mul, traced)
     v = aligned_coefficients()
     assert [e.terms for e in apply(matrix, v, params)] == columns(matrix, v)

@@ -1,14 +1,13 @@
 import json
 import math
 import random
-import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcert import certificate, cli, foxcomplex, groupring, relmodule
+from relcert import certificate, cli, foxcomplex, groupring
 from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams
 from relcert.foxcomplex import RingMatrix, RingVector, apply, compose, d2_matrix
@@ -34,6 +33,7 @@ from relcert.certificate import (
     splitting_report,
 )
 from forms import entry_state
+from rebind import rebind, spy
 from representation import rho_for
 from test_groupring import random_ring, reference_parse_ring, syllable_elements
 
@@ -127,16 +127,7 @@ def test_check_report_carries_d2_for_one_factor():
 
 def test_check_builds_2n_starred_rows(monkeypatch):
     cert = build_certificate(P235)
-    calls = []
-    starred_fox_row = foxcomplex.starred_fox_row
-
-    def counting(*args):
-        calls.append(1)
-        return starred_fox_row(*args)
-
-    # A relmodule import would bind the name there; d2_matrix looks it up in foxcomplex.
-    monkeypatch.setattr(relmodule, "starred_fox_row", counting, raising=False)
-    monkeypatch.setattr(foxcomplex, "starred_fox_row", counting)
+    calls = spy(monkeypatch, foxcomplex.starred_fox_row)
     assert check_certificate(cert).accepted
     # d2 makes 2n rows; the n + 1 generators and the D/E items read them.
     assert len(calls) == 2 * P235.n
@@ -323,18 +314,12 @@ def test_column_replay_matches_compose_on_tampered_traces(orders):
 
 
 def test_check_certificate_replays_the_trace_once(monkeypatch):
-    calls = []
-
-    def counted(ops, matrix, params):
-        calls.append(matrix)
-        return replay(ops, matrix, params)
-
-    monkeypatch.setattr(certificate, "replay", counted)
+    calls = spy(monkeypatch, replay)
     for p in FAMILIES + [PresentationParams((5, 7, 9, 11, 13))]:
         cert = build_certificate(p)
         calls.clear()
         assert check_certificate(cert).accepted
-        assert len(calls) == 1 and calls[0] == basis_matrix(cert)
+        assert len(calls) == 1 and calls[0].args[1] == basis_matrix(cert)
 
 
 def test_splitting_report():
@@ -445,16 +430,10 @@ def test_check_cert_reads_each_word_once(monkeypatch):
     # not hold it and it is not two words read before.  The eight-prime
     # certificate has 155 such words.
     obj = json.loads(certificate_bytes(build_certificate(PresentationParams(PRIMES8))))
-    calls = []
-    original = groupring.parse_word
-
-    def counted(text, n=None):
-        calls.append(text)
-        return original(text, n)
-
-    monkeypatch.setattr(groupring, "parse_word", counted)
+    calls = spy(monkeypatch, groupring.parse_word)
     assert check_certificate_json(obj).accepted
-    assert len(set(calls)) == len(calls) <= 155
+    texts = [call.args[0] for call in calls]
+    assert len(set(texts)) == len(texts) <= 155
 
 
 def test_check_cert_does_not_recheck_parsed_keys(monkeypatch):
@@ -464,44 +443,27 @@ def test_check_cert_does_not_recheck_parsed_keys(monkeypatch):
     # keys.  Reading the two-factor mu text as a dict made _split_mul
     # range-check its keys again: 4,508 calls for the eight primes.
     obj = json.loads(certificate_bytes(build_certificate(PresentationParams(PRIMES8))))
-    calls = []
-    original = groupring.check_reduced
-
-    def counted(x, params):
-        if sys._getframe(1).f_code.co_name == "_split_mul":
-            calls.append(x)
-        return original(x, params)
-
-    monkeypatch.setattr(groupring, "check_reduced", counted)
+    calls = spy(monkeypatch, groupring.check_reduced)
     assert check_certificate_json(obj).accepted
-    assert len(calls) == 0
+    assert sum(call.caller == "_split_mul" for call in calls) == 0
 
 
 def test_kernel_products_scan_widths_once(monkeypatch):
     # _packs hands the layout it measured to _kronecker_mul, which takes
     # the slot width from it: _slot_width runs at most once per _packs
     # call, and never from the packed kernel.
-    calls = Counter()  # (callee, caller): count
-
-    def count(name):
-        original = getattr(groupring, name)
-
-        def counted(*args):
-            calls[name, sys._getframe(1).f_code.co_name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(groupring, name, counted)
-
-    for name in ("_slot_width", "_packs", "_kronecker_mul"):
-        count(name)
+    spied = {name: spy(monkeypatch, getattr(groupring, name))
+             for name in ("_slot_width", "_packs", "_kronecker_mul")}
     for r in (PRIMES8, (509,)):
         obj = json.loads(certificate_bytes(build_certificate(PresentationParams(r))))
-        calls.clear()
+        for log in spied.values():
+            log.clear()
         assert check_certificate_json(obj).accepted
-        assert {caller for name, caller in calls if name == "_slot_width"} <= {"_packs"}
-        assert calls["_slot_width", "_packs"] <= calls["_packs", "_split_mul"]
+        calls = {name: Counter(call.caller for call in log) for name, log in spied.items()}
+        assert set(calls["_slot_width"]) <= {"_packs"}
+        assert calls["_slot_width"]["_packs"] <= calls["_packs"]["_split_mul"]
         if r == PRIMES8:  # 369 of its 967 weighed products are packed
-            assert calls["_kronecker_mul", "_split_mul"]
+            assert calls["_kronecker_mul"]["_split_mul"]
 
 
 def parsed_elements(cert):
@@ -596,15 +558,9 @@ def test_non_coprime_r_rejected_at_params_stage():
 
 def test_check_json_builds_params_once(monkeypatch):
     obj = json.loads(certificate_bytes(build_certificate(P235)))
-    built = []
-
-    def counting(r):
-        built.append(r)
-        return PresentationParams(r)
-
-    monkeypatch.setattr(certificate, "PresentationParams", counting)
+    built = spy(monkeypatch, PresentationParams)
     assert check_certificate_json(obj).accepted
-    assert built == [(2, 3, 5)]
+    assert [call.args for call in built] == [((2, 3, 5),)]
 
 
 def test_ring_text_parameter_error_is_not_a_params_verdict(monkeypatch):
@@ -613,7 +569,7 @@ def test_ring_text_parameter_error_is_not_a_params_verdict(monkeypatch):
     def failing(*args):
         raise ParameterError("raised while reading ring text")
 
-    monkeypatch.setattr(certificate, "parse_ring", failing)
+    rebind(monkeypatch, certificate.parse_ring, failing)
     with pytest.raises(ParameterError, match="while reading ring text"):
         check_certificate_json(obj)
 

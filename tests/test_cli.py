@@ -1,7 +1,9 @@
+import errno
 import gc
 import io
 import itertools
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from relcert import certificate, cli, foxcomplex, groupring, relmodule
 from relcert.cli import main, run_verification
 from relcert.freewords import PresentationParams
 from relcert.groupring import one
+from rebind import rebind, spy
 
 
 def test_verify_default_family(capsys):
@@ -267,16 +270,18 @@ def test_writer_holds_no_certificate_or_export(monkeypatch, capsys):
     write_output = cli._write_output
 
     def remember(build):
-        def spy(params):
+        def remembered(params):
             obj = build(params)
             built.append(id(obj))
             return obj
-        return spy
+        return remembered
 
     def write(tree, out):
         alive.append(any(id(o) == built[-1] for o in gc.get_objects()))
         return write_output(tree, out)
 
+    # cli's bindings alone: the build_certificate inside build_chain_export
+    # makes a certificate the command never holds.
     monkeypatch.setattr(cli, "_write_output", write)
     for name in ("build_certificate", "build_chain_export"):
         monkeypatch.setattr(cli, name, remember(getattr(cli, name)))
@@ -317,6 +322,52 @@ def test_normalize(capsys):
     assert capsys.readouterr().out.strip() == "b1"
     assert main(["normalize", "a1^5 b2^-1", "--r", "3,4,5"]) == 0
     assert capsys.readouterr().out.strip() == "a1^2 b2^-1"
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails, or with buffered=True
+    only the flush, as when the text fits the buffer."""
+
+    def __init__(self, buffered=False):
+        super().__init__()
+        self.buffered = buffered
+
+    def write(self, text):
+        if not self.buffered:
+            self.flush()
+        return super().write(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["write", "flush"])
+@pytest.mark.parametrize("command", ["verify", "certificate", "check-cert", "complex", "normalize"])
+def test_failed_stdout_write_exits_2(command, buffered, monkeypatch, tmp_path, capsys):
+    # A stdout that cannot be written is an I/O error, not a rejection.
+    cert = str(tmp_path / "cert.json")
+    assert main(["certificate", "--r", "2,3", "--out", cert]) == 0
+    argv = {"check-cert": [cert], "normalize": ["a1", "--r", "2,3"]}.get(command, ["--r", "2,3"])
+    monkeypatch.setattr(sys, "stdout", _FullStdout(buffered))
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["verify", "--r", "2,3"], ["certificate", "--r", "2,3,5"]])
+def test_stdout_on_a_full_device_exits_2_quietly(argv, unbuffered):
+    # Buffered, the text fails at main's flush; the flush at exit then
+    # finds stdout on the null device and prints nothing more.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from relcert.cli import main; sys.exit(main({argv!r}))"
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-c", code], stdout=full, stderr=subprocess.PIPE,
+                                text=True, env=env)
+    assert (result.returncode, result.stderr) == (
+        2, "error: cannot write stdout: [Errno 28] No space left on device\n"
+    )
 
 
 def test_normalize_parse_error(capsys):
@@ -416,14 +467,7 @@ def test_check_cert_malformed_fields_exit_2(orders, edit, tmp_path, capsys):
 
 
 def test_verify_reconstructs_each_family_once(monkeypatch):
-    calls = []
-    reconstruct = certificate._reconstruct
-
-    def counting(*args):
-        calls.append(1)
-        return reconstruct(*args)
-
-    monkeypatch.setattr(certificate, "_reconstruct", counting)
+    calls = spy(monkeypatch, certificate._reconstruct)
     params = PresentationParams((2, 3, 5))
     assert all(g.status == "pass" for g in run_verification(params, sample=5))
     # D_i once each; every E_i is read off its D_i sum, as its residual is zero.
@@ -431,17 +475,10 @@ def test_verify_reconstructs_each_family_once(monkeypatch):
 
 
 def test_check_reconstructs_a_nonzero_residual_once(monkeypatch):
-    calls = []
-    reconstruct = certificate._reconstruct
-
-    def counting(*args):
-        calls.append(1)
-        return reconstruct(*args)
-
     params = PresentationParams((2, 3, 5))
     obj = json.loads(certificate.certificate_bytes(certificate.build_certificate(params)))
     obj["mu"][0][0] += " + e"
-    monkeypatch.setattr(certificate, "_reconstruct", counting)
+    calls = spy(monkeypatch, certificate._reconstruct)
     report = certificate.check_certificate_json(obj)
     assert report.failures == ("E_1 reconstruction",)
     assert len(calls) == params.n + 1  # the n D sums and E_1's residual
@@ -450,14 +487,7 @@ def test_check_reconstructs_a_nonzero_residual_once(monkeypatch):
 def test_commands_make_no_plain_convolution(monkeypatch, tmp_path, capsys):
     # Every one-factor coefficient is written as the left operand of its
     # product, so ring_mul splits it and never falls back to _convolve.
-    calls = []
-    convolve = groupring._convolve
-
-    def counting(*args):
-        calls.append(1)
-        return convolve(*args)
-
-    monkeypatch.setattr(groupring, "_convolve", counting)
+    calls = spy(monkeypatch, groupring._convolve)
     cert = str(tmp_path / "cert.json")
     assert main(["verify", "--r", "2,3,5"]) == 0
     assert main(["certificate", "--r", "2,3,5", "--out", cert]) == 0
@@ -469,16 +499,7 @@ def test_commands_make_no_plain_convolution(monkeypatch, tmp_path, capsys):
 
 
 def test_verify_builds_no_d1_and_complex_builds_one(monkeypatch, tmp_path, capsys):
-    calls = []
-    d1_matrix = foxcomplex.d1_matrix
-
-    def counting(*args):
-        calls.append(1)
-        return d1_matrix(*args)
-
-    # A module that imported the name binds it; a foxcomplex caller looks it up there.
-    for module in (cli, certificate, foxcomplex):
-        monkeypatch.setattr(module, "d1_matrix", counting, raising=False)
+    calls = spy(monkeypatch, foxcomplex.d1_matrix)
     assert all(g.status == "pass" for g in run_verification(PresentationParams((2, 3, 5))))
     assert calls == []
     assert main(["complex", "--r", "2,3,5", "--out", str(tmp_path / "complex.json")]) == 0
@@ -487,16 +508,7 @@ def test_verify_builds_no_d1_and_complex_builds_one(monkeypatch, tmp_path, capsy
 
 
 def test_verify_builds_2n_starred_rows(monkeypatch):
-    calls = []
-    starred_fox_row = foxcomplex.starred_fox_row
-
-    def counting(*args):
-        calls.append(1)
-        return starred_fox_row(*args)
-
-    # A relmodule import would bind the name there; d2_matrix looks it up in foxcomplex.
-    monkeypatch.setattr(relmodule, "starred_fox_row", counting, raising=False)
-    monkeypatch.setattr(foxcomplex, "starred_fox_row", counting)
+    calls = spy(monkeypatch, foxcomplex.starred_fox_row)
     groups = run_verification(PresentationParams((2, 3, 5)), sample=0)
     assert all(g.status == "pass" for g in groups)
     # The one d2 of the certificate check; every other group reads its rows.
@@ -520,7 +532,7 @@ def test_built_certificate_fault_exits_1(command, monkeypatch, tmp_path, capsys)
         ("_basis_ops", short_trace, "basis reduction"),
     ):
         with monkeypatch.context() as patched:
-            patched.setattr(certificate, name, fault)
+            rebind(patched, getattr(certificate, name), fault)
             path = tmp_path / f"{name}.json"
             assert main([command, "--r", "2,3,5", "--out", str(path)]) == 1
         captured = capsys.readouterr()
@@ -539,7 +551,7 @@ def test_builder_crt_fault_reaches_the_checker(monkeypatch, capsys):
         first = (crt.s[0][0] + 1,) + crt.s[0][1:]
         return type(crt)(crt.t, (first,) + crt.s[1:])
 
-    monkeypatch.setattr(certificate, "crt_coefficients", off_by_one)
+    rebind(monkeypatch, crt_coefficients, off_by_one)
     assert main(["verify", "--r", "2,3", "--format", "json"]) == 1
     groups = {g["name"]: g for g in json.loads(capsys.readouterr().out)["groups"]}
     assert "s cofactors" in groups["generation certificate build and recheck"]["details"]
