@@ -260,7 +260,12 @@ _COMMANDS = {
 def _build_parser():
     import argparse  # only here: building the parser costs about 3 ms a command
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):  # argparse's own drops an OSError
+            (file or sys.stdout).write(self.format_help())
+            (file or sys.stdout).flush()  # before argparse exits: main reports it
+
+    parser = Parser(
         prog="relcert",
         description=(
             "Exact group-ring workbench for free products of C_r x Z: "
@@ -342,8 +347,8 @@ def _drop_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_plain(argv) or vars(_build_parser().parse_args(argv))
     try:
+        args = _parse_plain(argv) or vars(_build_parser().parse_args(argv))
         code = _run(args)
         sys.stdout.flush()  # a buffered stdout fails here, not at exit
         return code

@@ -17,13 +17,13 @@ because d(g^-1)/dx + g^-1 w dg/dx collapses to zero once w maps to the
 identity, and star moves the left factor g^-1 to a right factor g.  Right
 multiplying a starred row therefore realizes conjugation of the underlying
 relator.  The edge boundary entries are starred the same way (x^-1 - 1),
-so the chain condition holds verbatim.  d1_image applies them on cells,
-and d1_matrix holds them for export.
+so the chain condition holds verbatim.  d1_image applies them on cells
+(_d1_cells), and d1_matrix holds them for export.
 
-A starred row comes from one prefix walk over the word (the product rule
-fills all 2n columns at once, see starred_fox_row), each column grouped
-under params' orders, as in d2.  fox_derivative walks the word once per
-generator and is kept as the reference for each column.
+One prefix walk over a word, _fox_walk, fills all 2n starred columns as
+cells grouped under params' orders; starred_fox_row wraps them for d2.  The
+Fox-identity sample runs _d1_cells on _fox_walk's columns, with no ring
+element built.  fox_derivative is the per-generator reference per column.
 """
 
 from __future__ import annotations
@@ -164,16 +164,8 @@ def fox_derivative(w: FreeWord, gen: Generator, params: PresentationParams) -> R
     return from_terms(terms)
 
 
-def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
-    """Width-2n vector of starred Fox derivatives over columns a1, b1, ..., an, bn.
-
-    One walk over w fills every column by the product rule
-    d(uv)/dx = du/dx + u dv/dx: the letter g^e read after the prefix u adds
-    u g^j (exponents j and sign c as in fox_derivative) to column g.  Starred,
-    u g^j is g^-j inv with inv = u^-1, so each term is inv with one syllable
-    of g's factor merged in at the left: a cell of the group keyed by the
-    rest of inv.  fox_derivative is the per-generator reference for these
-    columns."""
+def _fox_walk(w: FreeWord, params: PresentationParams) -> list[dict]:
+    """starred_fox_row's columns as groups {suffix: cells}, column k at factor k // 2 + 1."""
     cols: list[dict[GroupElement, dict[int, int]]] = [{} for _ in range(2 * params.n)]
     inv = IDENTITY
     for g, e in w:
@@ -205,6 +197,20 @@ def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
             del col[rest]
         k, m = ((k0 - e) % r, m0) if torsion else (k0, m0 - e)
         inv = GroupElement(((i, k, m),) + rest) if k or m else rest
+    return cols
+
+
+def starred_fox_row(w: FreeWord, params: PresentationParams) -> RingVector:
+    """Width-2n vector of starred Fox derivatives over columns a1, b1, ..., an, bn.
+
+    One walk over w (_fox_walk) fills every column by the product rule
+    d(uv)/dx = du/dx + u dv/dx: the letter g^e read after the prefix u adds
+    u g^j (exponents j and sign c as in fox_derivative) to column g.  Starred,
+    u g^j is g^-j inv with inv = u^-1, so each term is inv with one syllable
+    of g's factor merged in at the left: a cell of the group keyed by the
+    rest of inv.  fox_derivative is the per-generator reference for these
+    columns."""
+    cols = _fox_walk(w, params)
     return RingVector(from_groups(k // 2 + 1, params.r, col) for k, col in enumerate(cols))
 
 
@@ -229,26 +235,18 @@ def d1_matrix(params: PresentationParams) -> RingMatrix:
     )
 
 
-def d1_image(row: RingVector, params: PresentationParams) -> RingElement:
-    """sum_x (x^-1 - 1) * row_x, which is apply(d1_matrix(params), row, params)[0].
-
-    A column of x read by groups_at at x's factor f is taken on its cells:
-    a_f^-1 moves cell s to s - 1, or to s - 1 + r where s mod 2r = 0, and
-    b_f^-1 to s - 2r.  Both columns of f, images less cells, are summed
-    suffix by suffix, and only surviving cells become keys.  Any other
-    column is multiplied by its d1 entry."""
-    r = params.r
-    if len(row) != 2 * len(r):
-        raise ParameterError(f"coefficient vector width {len(row)} != row count {2 * len(r)}")
+def _d1_cells(cols, r: tuple[int, ...]) -> dict[GroupElement, int]:
+    """sum_x (x^-1 - 1) * col_x as terms, for one groups dict {suffix: cells}
+    per column (column k at factor f = k // 2 + 1 under r), skipping a column
+    that is None or empty.  a_f^-1 moves cell s to s - 1, or to s - 1 + r
+    where s mod 2r = 0, and b_f^-1 to s - 2r.  Both columns of f, images less
+    cells, are summed suffix by suffix; only surviving cells become keys."""
     out: dict[GroupElement, int] = {}
     for f in range(1, len(r) + 1):
         stride = 2 * r[f - 1]
         image: dict[GroupElement, dict[int, int]] = {}  # rest -> cells
-        for free, col in enumerate(row[2 * f - 2:2 * f]):
-            groups = groups_at(col, f, r)
-            if groups is None:
-                entry = (free_term if free else torsion_term)(f, -1, params) - one()
-                accumulate(out, ring_mul(entry, col, params).terms.items())
+        for free, groups in enumerate(cols[2 * f - 2:2 * f]):
+            if not groups:
                 continue
             shift, wrap = (stride, 0) if free else (1, r[f - 1])
             for rest, cells in groups.items():
@@ -259,21 +257,43 @@ def d1_image(row: RingVector, params: PresentationParams) -> RingElement:
                     acc[t] = get(t, 0) + c
                     acc[s] = get(s, 0) - c
         # Each surviving cell s is the term a_f^(s mod 2r) b_f^(s div 2r) rest.
-        accumulate(out, (
-            (GroupElement(((f, s % stride, s // stride),) + rest) if s else rest, c)
-            for rest, acc in image.items() for s, c in acc.items() if c
-        ))
+        for rest, acc in image.items():
+            for s, c in acc.items():
+                if c:
+                    g = GroupElement(((f, s % stride, s // stride),) + rest) if s else rest
+                    v = out.get(g, 0) + c
+                    if v:
+                        out[g] = v
+                    else:
+                        del out[g]
+    return out
+
+
+def d1_image(row: RingVector, params: PresentationParams) -> RingElement:
+    """sum_x (x^-1 - 1) * row_x, which is apply(d1_matrix(params), row, params)[0]:
+    _d1_cells on every column that groups_at reads at its own factor, and any
+    other column multiplied by its d1 entry."""
+    r = params.r
+    if len(row) != 2 * len(r):
+        raise ParameterError(f"coefficient vector width {len(row)} != row count {2 * len(r)}")
+    cols = [groups_at(col, k // 2 + 1, r) for k, col in enumerate(row)]
+    out = _d1_cells(cols, r)
+    for k, col in enumerate(row):
+        if cols[k] is None:
+            entry = (free_term if k % 2 else torsion_term)(k // 2 + 1, -1, params) - one()
+            accumulate(out, ring_mul(entry, col, params).terms.items())
     return RingElement(out)
 
 
 def fundamental_identity_holds(w: FreeWord, params: PresentationParams) -> bool:
     """Starred form of the fundamental Fox identity:
-    sum_x (x^-1 - 1) * star(dw/dx) = star(pi(w)) - 1.  The right side comes
-    from project and ginv, not from the end of starred_fox_row's prefix walk
-    (the same element): the target stays independent of the walk it checks."""
-    lhs = d1_image(starred_fox_row(w, params), params)
+    sum_x (x^-1 - 1) * star(dw/dx) = star(pi(w)) - 1, the left side as
+    _d1_cells on _fox_walk's columns, with no ring element built.  The right
+    side comes from project and ginv, not from the end of the walk (the same
+    element): the target stays independent of the walk it checks."""
+    lhs = _d1_cells(_fox_walk(w, params), params.r)
     g = ginv(project(w, params), params)
-    return lhs.terms == ({g: 1, IDENTITY: -1} if g else {})
+    return lhs == ({g: 1, IDENTITY: -1} if g else {})
 
 
 def c1_labels(n: int) -> list[str]:

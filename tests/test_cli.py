@@ -342,12 +342,17 @@ class _FullStdout(io.StringIO):
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["write", "flush"])
-@pytest.mark.parametrize("command", ["verify", "certificate", "check-cert", "complex", "normalize"])
+@pytest.mark.parametrize(
+    "command", ["verify", "certificate", "check-cert", "complex", "normalize", "--help"]
+)
 def test_failed_stdout_write_exits_2(command, buffered, monkeypatch, tmp_path, capsys):
-    # A stdout that cannot be written is an I/O error, not a rejection.
+    # A stdout that cannot be written is an I/O error, not a rejection;
+    # argparse's own print_help would drop the OSError and exit 0.
     cert = str(tmp_path / "cert.json")
     assert main(["certificate", "--r", "2,3", "--out", cert]) == 0
-    argv = {"check-cert": [cert], "normalize": ["a1", "--r", "2,3"]}.get(command, ["--r", "2,3"])
+    argv = {"check-cert": [cert], "normalize": ["a1", "--r", "2,3"], "--help": []}.get(
+        command, ["--r", "2,3"]
+    )
     monkeypatch.setattr(sys, "stdout", _FullStdout(buffered))
     assert main([command, *argv]) == 2
     assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
@@ -355,10 +360,13 @@ def test_failed_stdout_write_exits_2(command, buffered, monkeypatch, tmp_path, c
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", ["1", ""])
-@pytest.mark.parametrize("argv", [["verify", "--r", "2,3"], ["certificate", "--r", "2,3,5"]])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--r", "2,3"], ["certificate", "--r", "2,3,5"], ["--help"], ["verify", "--help"],
+])
 def test_stdout_on_a_full_device_exits_2_quietly(argv, unbuffered):
-    # Buffered, the text fails at main's flush; the flush at exit then
-    # finds stdout on the null device and prints nothing more.
+    # Buffered, the text fails at main's flush, or help text at the parser's
+    # own flush before argparse exits; the flush at exit then finds stdout
+    # on the null device and prints nothing more.
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); from relcert.cli import main; sys.exit(main({argv!r}))"
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
@@ -509,10 +517,48 @@ def test_verify_builds_no_d1_and_complex_builds_one(monkeypatch, tmp_path, capsy
 
 def test_verify_builds_2n_starred_rows(monkeypatch):
     calls = spy(monkeypatch, foxcomplex.starred_fox_row)
-    groups = run_verification(PresentationParams((2, 3, 5)), sample=0)
+    groups = run_verification(PresentationParams((2, 3, 5)))
     assert all(g.status == "pass" for g in groups)
-    # The one d2 of the certificate check; every other group reads its rows.
+    # The one d2 of the certificate check; every other group reads its rows,
+    # and the sampled words run the walk core, which builds no row.
     assert len(calls) == 2 * 3
+
+
+SAMPLE_GROUP = "fundamental derivative identity (200 sampled words)"
+CHAIN_GROUP = "chain condition d1 after d2 = 0"
+
+
+def _failing_groups():
+    return {g.name for g in run_verification(PresentationParams((2, 3, 5))) if g.status == "fail"}
+
+
+def test_walk_core_fault_fails_the_sample(monkeypatch):
+    # A walk that drops one cell of a negative exponent (its first cell with
+    # a negative coefficient) changes that column by one term, which
+    # x^-1 - 1 does not annihilate.
+    walk = foxcomplex._fox_walk
+
+    def dropping(w, params):
+        cols = walk(w, params)
+        for col in cols:
+            for rest, cells in col.items():
+                cell = next((s for s, c in cells.items() if c < 0), None)
+                if cell is not None:
+                    del cells[cell]
+                    if not cells:
+                        del col[rest]
+                    return cols
+        return cols
+
+    rebind(monkeypatch, walk, dropping)
+    assert SAMPLE_GROUP in _failing_groups()
+
+
+def test_d1_core_fault_fails_the_sample_and_the_chain_condition(monkeypatch):
+    # A d1 core that skips the last column, b_n's; no other group applies d1.
+    d1_cells = foxcomplex._d1_cells
+    rebind(monkeypatch, d1_cells, lambda cols, r: d1_cells(cols[:-1] + [None], r))
+    assert _failing_groups() == {SAMPLE_GROUP, CHAIN_GROUP}
 
 
 @pytest.mark.parametrize("command", ["certificate", "complex"])

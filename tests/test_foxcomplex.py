@@ -20,6 +20,8 @@ from relcert.freewords import (
 from relcert.foxcomplex import (
     RingMatrix,
     RingVector,
+    _d1_cells,
+    _fox_walk,
     apply,
     c1_labels,
     c2_labels,
@@ -34,6 +36,8 @@ from relcert.foxcomplex import (
 from relcert.groupring import (
     RingElement,
     free_term,
+    from_groups,
+    groups_at,
     norm_element,
     one,
     ring_mul,
@@ -274,6 +278,24 @@ def test_d1_image_takes_fox_rows_on_cells(monkeypatch):
             assert fundamental_identity_holds(w, params)
         assert all(d1_image(row, params).is_zero for row in d2_matrix(params))
     assert calls == []
+
+
+def test_sampled_words_build_no_ring_element(monkeypatch):
+    # The sample runs the walk core's columns through the d1 core: no column
+    # is wrapped by from_groups or read back by groups_at.  The same words'
+    # starred rows, through d1_image, give the same terms.
+    rng = random.Random(83)
+    cases = [(params, [random_word(rng, params.n) for _ in range(30)] + list(cancelling_words(params)))
+             for params in (P23, P235, PRIMES8, P509)]
+    wrapped, read = spy(monkeypatch, from_groups), spy(monkeypatch, groups_at)
+    for params, words in cases:
+        assert all(fundamental_identity_holds(w, params) for w in words)
+    assert wrapped == [] and read == []
+    for params, words in cases:
+        for w in words:
+            image = d1_image(starred_fox_row(w, params), params)
+            assert _d1_cells(_fox_walk(w, params), params.r) == image.terms
+    assert len(wrapped) == len(read) == sum(2 * p.n * len(words) for p, words in cases)
 
 
 def test_d1_image_raises_as_apply_does():
