@@ -6,7 +6,7 @@ from .freewords import FreeWord, Generator, PresentationParams
 from .normalform import GroupElement
 from .groupring import RingElement
 from .foxcomplex import RingMatrix, RingVector
-from .certificate import Certificate, CrtData
+from .checker import Certificate, CrtData
 
 __all__ = [
     "Certificate",

@@ -33,12 +33,11 @@ from .certificate import (
     build_chain_export,
     certificate_to_json,
     chain_export_to_json,
-    check_certificate,
-    check_certificate_json,
     document_text,
     euler_characteristic,
     require_accepted,
 )
+from .checker import check_certificate, check_certificate_json
 
 DEFAULT_R = (2, 3, 5)
 DEFAULT_SEED = 0

@@ -29,13 +29,15 @@ from relcert.normalform import project
 from relcert.relmodule import check_module_identities, check_reduction, module_generator
 from relcert.certificate import (
     basis_change,
-    basis_matrix,
     build_certificate,
     certificate_bytes,
-    certificate_from_json,
-    check_certificate_json,
     crt_coefficients,
     euler_characteristic,
+)
+from relcert.checker import (
+    basis_matrix,
+    certificate_from_json,
+    check_certificate_json,
     permutation_of_identity,
     replay,
 )

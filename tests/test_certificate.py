@@ -7,30 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcert import certificate, cli, foxcomplex, groupring
+from relcert import checker, cli, foxcomplex, groupring
 from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams
 from relcert.foxcomplex import RingMatrix, RingVector, apply, compose, d2_matrix
 from relcert.groupring import one, parse_ring, ring_to_text, zero
 from relcert.relmodule import module_generator, reduction_multiplier
 from relcert.certificate import (
-    AddRightMultiple,
     ChainExport,
     basis_change,
-    basis_matrix,
     build_certificate,
     build_chain_export,
     certificate_bytes,
-    certificate_from_json,
     chain_export_to_json,
+    crt_coefficients,
+    euler_characteristic,
+    splitting_report,
+)
+from relcert.checker import (
+    AddRightMultiple,
+    basis_matrix,
+    certificate_from_json,
     check_certificate,
     check_certificate_json,
     column_replay,
-    crt_coefficients,
-    euler_characteristic,
     permutation_of_identity,
     replay,
-    splitting_report,
 )
 from forms import entry_state
 from rebind import rebind, spy
@@ -569,7 +571,7 @@ def test_ring_text_parameter_error_is_not_a_params_verdict(monkeypatch):
     def failing(*args):
         raise ParameterError("raised while reading ring text")
 
-    rebind(monkeypatch, certificate.parse_ring, failing)
+    rebind(monkeypatch, checker.parse_ring, failing)
     with pytest.raises(ParameterError, match="while reading ring text"):
         check_certificate_json(obj)
 
@@ -598,9 +600,9 @@ def _full_sum_items(obj):
         ("E", cert.mu, n, "sum_k X_k mu_ki equals the power class"),
     ):
         for i in range(1, n + 1):
-            got = certificate._reconstruct(gens, [row[i - 1] for row in coeffs], params)
+            got = checker._reconstruct(gens, [row[i - 1] for row in coeffs], params)
             name = f"{family}_{i} reconstruction"
-            items[name] = certificate.CheckItem(name, got == d2[offset + i - 1], detail)
+            items[name] = checker.CheckItem(name, got == d2[offset + i - 1], detail)
     return items
 
 

@@ -1,17 +1,24 @@
 """The checker on its own: run end to end on the plain kernel as its twin,
-run with every builder-only function refusing, and held to the item list
-README's "What `check-cert` proves" documents."""
+run with every builder-only function refusing, kept out of the builder's
+module by its imports, and held to the item list README's "What
+`check-cert` proves" documents."""
 
+import ast
 import copy
 import functools
+import importlib.util
+import inspect
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
 from relcert import certificate, groupring, relmodule
-from relcert.certificate import build_certificate, certificate_to_json, check_certificate_json
+from relcert.certificate import build_certificate, certificate_to_json
+from relcert.checker import check_certificate_json
 from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams
 from relcert.groupring import RingElement
@@ -93,19 +100,22 @@ def test_checker_twin_on_the_plain_kernel(orders, monkeypatch):
     assert [outcome(obj) for obj in trees] == fast
 
 
-BUILDER_ONLY = (
-    certificate.build_certificate,
-    certificate.build_chain_export,
-    certificate.crt_coefficients,
-    certificate._alpha_coords,
-    certificate._basis_ops,
-    relmodule.reduction_multiplier,
-    certificate.certificate_to_json,
-    certificate.certificate_bytes,
-    certificate.document_text,
-    certificate.chain_export_to_json,
-    groupring.ring_to_text,
-)
+# Every function relcert.certificate defines (a builder or writer added
+# there later joins by itself), and the two functions of other modules that
+# the builder and writers call and the checker must not.
+BUILDER_ONLY = tuple(
+    value for value in vars(certificate).values()
+    if inspect.isfunction(value) and value.__module__ == "relcert.certificate"
+) + (relmodule.reduction_multiplier, groupring.ring_to_text)
+
+
+def test_builder_only_holds_the_builders_and_writers():
+    names = {function.__name__ for function in BUILDER_ONLY}
+    assert names >= {
+        "build_certificate", "build_chain_export", "crt_coefficients", "_alpha_coords",
+        "_basis_ops", "reduction_multiplier", "certificate_to_json", "certificate_bytes",
+        "document_text", "chain_export_to_json", "ring_to_text",
+    }
 
 
 @pytest.mark.parametrize("orders", [(7,), (2, 3, 5), (5, 7, 9, 11, 13)])
@@ -119,6 +129,61 @@ def test_check_cert_runs_no_builder_code(orders, monkeypatch):
     for function in BUILDER_ONLY:
         rebind(monkeypatch, function, refuse)
     assert [outcome(obj) for obj in trees] == expected
+
+
+SRC = pathlib.Path(certificate.__file__).resolve().parent
+
+
+def imported_names(module):
+    """(module, name) for every import statement in a relcert module's
+    source, function bodies included; name is None for `import module`."""
+    stem = "__init__" if module == "relcert" else module.rpartition(".")[2]
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), "relcert")
+            for alias in node.names:
+                # `from . import x` names a submodule.
+                if base == "relcert" and (SRC / f"{alias.name}.py").exists():
+                    yield f"relcert.{alias.name}", None
+                else:
+                    yield base, alias.name
+
+
+def test_checker_import_closure_holds_no_builder_code():
+    # What `import relcert.checker` can run: the package, the checker and
+    # every relcert module they import, statically.
+    seen, todo, imports = set(), ["relcert", "relcert.checker"], []
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            for target, name in imported_names(module):
+                imports.append((module, target, name))
+                if target.split(".")[0] == "relcert":
+                    todo.append(target)
+    assert {"relcert.checker", "relcert.relmodule"} <= seen
+    assert [(m, t) for m, t, _ in imports if t == "relcert.certificate"] == []
+    builder_imports = [
+        (m, f"{t}.{name}") for m, t, name in imports
+        if name and t.split(".")[0] == "relcert"
+        and any(getattr(importlib.import_module(t), name) is f for f in BUILDER_ONLY)
+    ]
+    assert builder_imports == []
+
+
+def test_import_checker_loads_no_builder_module():
+    # -S keeps out what site-packages .pth files would load first.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import relcert.checker; "
+        "print('relcert.certificate' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcert import certificate, cli, foxcomplex, groupring, relmodule
+from relcert import certificate, checker, cli, foxcomplex, groupring, relmodule
 from relcert.cli import main, run_verification
 from relcert.freewords import PresentationParams
 from relcert.groupring import one
@@ -439,11 +439,11 @@ def _bump_first_diagonal(m):
 def test_basis_inverse_fails_alone(fault, monkeypatch, tmp_path, capsys):
     """A P Q that is another permutation, or no permutation at all, fails
     basis inverse and no other item."""
-    column_replay = certificate.column_replay
-    monkeypatch.setattr(certificate, "column_replay", lambda *args: fault(column_replay(*args)))
+    column_replay = checker.column_replay
+    monkeypatch.setattr(checker, "column_replay", lambda *args: fault(column_replay(*args)))
     params = PresentationParams((2, 3, 5))
     cert = certificate.build_certificate(params)
-    assert certificate.check_certificate(cert).failures == ("basis inverse",)
+    assert checker.check_certificate(cert).failures == ("basis inverse",)
     path = tmp_path / "cert.json"
     path.write_bytes(certificate.certificate_bytes(cert))
     assert main(["check-cert", str(path)]) == 1
@@ -475,7 +475,7 @@ def test_check_cert_malformed_fields_exit_2(orders, edit, tmp_path, capsys):
 
 
 def test_verify_reconstructs_each_family_once(monkeypatch):
-    calls = spy(monkeypatch, certificate._reconstruct)
+    calls = spy(monkeypatch, checker._reconstruct)
     params = PresentationParams((2, 3, 5))
     assert all(g.status == "pass" for g in run_verification(params, sample=5))
     # D_i once each; every E_i is read off its D_i sum, as its residual is zero.
@@ -486,8 +486,8 @@ def test_check_reconstructs_a_nonzero_residual_once(monkeypatch):
     params = PresentationParams((2, 3, 5))
     obj = json.loads(certificate.certificate_bytes(certificate.build_certificate(params)))
     obj["mu"][0][0] += " + e"
-    calls = spy(monkeypatch, certificate._reconstruct)
-    report = certificate.check_certificate_json(obj)
+    calls = spy(monkeypatch, checker._reconstruct)
+    report = checker.check_certificate_json(obj)
     assert report.failures == ("E_1 reconstruction",)
     assert len(calls) == params.n + 1  # the n D sums and E_1's residual
 

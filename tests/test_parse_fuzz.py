@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcert.certificate import build_certificate, certificate_bytes, certificate_from_json
+from relcert.certificate import build_certificate, certificate_bytes
+from relcert.checker import certificate_from_json
 from relcert.errors import ParameterError, ParseError
 from relcert.freewords import PresentationParams, parse_word
 from relcert.groupring import parse_ring

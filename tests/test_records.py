@@ -7,17 +7,19 @@ import json
 import pytest
 
 from relcert.certificate import (
+    build_certificate,
+    build_chain_export,
+    certificate_bytes,
+    crt_coefficients,
+    splitting_report,
+)
+from relcert.checker import (
     CERTIFICATE_VERSION,
     AddRightMultiple,
     CheckItem,
     CheckReport,
-    build_certificate,
-    build_chain_export,
-    certificate_bytes,
     certificate_from_json,
     check_certificate,
-    crt_coefficients,
-    splitting_report,
 )
 from relcert.cli import CheckGroup, run_verification
 from relcert.errors import ParameterError

@@ -10,7 +10,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcert.certificate import build_certificate, certificate_bytes, check_certificate_json
+from relcert.certificate import build_certificate, certificate_bytes
+from relcert.checker import check_certificate_json
 from relcert.freewords import (
     FreeWord,
     PresentationParams,
